@@ -6,17 +6,20 @@ slots plus up and down (down is unavailable at zeta = 0).  Excursions are the
 walk segments between consecutive visits to a reference layer; a same-layer
 hop returns immediately and forms its own one-step excursion.
 
-Two simulation styles live here:
+The cluster walker itself lives in :mod:`cyldla.dla`; this module holds what
+it is built from and checked against:
 
-* a literal stepper (:func:`step`, :func:`run_until`) that materializes
-  traces, used for generic predicates and as a cross-check;
+* the walk law as a slot table, read through :class:`DrawSource`;
 * exact-law machinery for the heavy-tailed part of the walk.  The vertical
   first-return time of an excursion has infinite mean, so bulk estimators
   cannot afford to step through it.  :func:`sample_excursion_shape` draws the
   (vertical moves, same-layer moves) pair of one excursion from its exact
   joint law, and :class:`GTransitionSampler` advances the base coordinate by
   an arbitrary number of same-layer moves in one shot via the spectral
-  decomposition of the base walk.
+  decomposition of the base walk;
+* a vectorized skeleton simulation of independent excursions
+  (:func:`long_excursion_frequency`), an independent route to the same
+  excursion law.
 """
 from __future__ import annotations
 
@@ -34,110 +37,6 @@ DEFAULT_START_OFFSET = 1_000_000
 _NEGBIN_EXACT_LIMIT = 10**12
 _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class CylinderPosition:
-    g: int
-    zeta: int
-
-    def __post_init__(self) -> None:
-        if self.zeta < 0:
-            raise ValueError("layer index must be >= 0")
-
-
-@dataclass(frozen=True)
-class ExcursionRecord:
-    """One excursion: trace indices, side of the first step, same-layer moves."""
-
-    start_index: int
-    end_index: int
-    sign: int  # +1 above, -1 below, 0 for a one-step same-layer hop
-    g_steps: int
-
-
-@dataclass
-class WalkTrace:
-    positions: list[tuple[int, int]]
-    stop_reason: str  # "hit-target" or "cap-exceeded"
-    g_step_count: int
-
-
-def step(g: RegularGraph, pos: CylinderPosition, rng: np.random.Generator) -> CylinderPosition:
-    """One uniform step; d+2 options above the floor, d+1 at zeta = 0."""
-    if pos.zeta >= 1:
-        s = int(rng.integers(0, g.d + 2))
-        if s == 0:
-            return CylinderPosition(pos.g, pos.zeta + 1)
-        if s == 1:
-            return CylinderPosition(pos.g, pos.zeta - 1)
-        return CylinderPosition(g.neighbors[pos.g][s - 2], pos.zeta)
-    s = int(rng.integers(0, g.d + 1))
-    if s == 0:
-        return CylinderPosition(pos.g, 1)
-    return CylinderPosition(g.neighbors[pos.g][s - 1], 0)
-
-
-def run_until(
-    g: RegularGraph,
-    start: CylinderPosition,
-    stop,
-    rng: np.random.Generator,
-    cap: int,
-) -> WalkTrace:
-    """Walk until ``stop(position)`` is true, checking the start first.
-
-    The trace records every visited position; a cap hit is flagged in
-    ``stop_reason`` rather than silently truncating.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    positions = [(start.g, start.zeta)]
-    pos = start
-    g_steps = 0
-    if stop(pos):
-        return WalkTrace(positions, "hit-target", 0)
-    for _ in range(cap):
-        nxt = step(g, pos, rng)
-        if nxt.zeta == pos.zeta:
-            g_steps += 1
-        pos = nxt
-        positions.append((pos.g, pos.zeta))
-        if stop(pos):
-            return WalkTrace(positions, "hit-target", g_steps)
-    return WalkTrace(positions, "cap-exceeded", g_steps)
-
-
-def decompose_excursions(trace: WalkTrace, reference_layer: int) -> list[ExcursionRecord]:
-    """Split a trace at its returns to ``reference_layer``.
-
-    The trace must start on the reference layer.  The trailing segment after
-    the last return is discarded.
-    """
-    pos = trace.positions
-    if not pos or pos[0][1] != reference_layer:
-        raise ValueError("trace must start at the reference layer")
-    records = []
-    start = 0
-    for r in range(1, len(pos)):
-        if pos[r][1] == reference_layer:
-            sign = pos[start + 1][1] - pos[start][1]
-            g_steps = sum(
-                1 for i in range(start + 1, r + 1) if pos[i][1] == pos[i - 1][1]
-            )
-            records.append(ExcursionRecord(start, r, sign, g_steps))
-            start = r
-    return records
-
-
-def is_alpha_long(exc: ExcursionRecord, alpha: float) -> bool:
-    """Positive excursion with at least ``alpha`` same-layer moves."""
-    return exc.sign > 0 and exc.g_steps >= alpha
-
-
-def is_negative_alpha_long(exc: ExcursionRecord, alpha: float) -> bool:
-    """Mirrored predicate for excursions on the negative side."""
-    return exc.sign < 0 and exc.g_steps >= alpha
 
 
 # --- exact excursion-shape sampling ------------------------------------------
@@ -228,37 +127,57 @@ class GTransitionSampler:
         return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
+# --- walk law -----------------------------------------------------------------
+
+
+def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
+    """The walk law on a loop-free d-regular base, as raw draw -> walker slot.
+
+    Walker slot 0 moves up, 1 moves down and s >= 2 moves to neighbor s - 2.
+    With no vertical loops the table is the identity on d + 2 slots: the fair
+    walk.  ``vertical_loops`` adds that many slots per vertex that each
+    resolve to a fair vertical move (the negative control of the
+    loop-equivalence test).  Every slot then appears twice and the two copies
+    of a loop slot go up and down, so with D = d + loops each neighbor has
+    probability 1/(D+2) and up and down each (2+loops)/(2(D+2)).
+    """
+    if vertical_loops == 0:
+        return np.arange(d + 2, dtype=np.int64)
+    doubled = np.repeat(np.arange(d + 2, dtype=np.int64), 2)
+    loops = np.tile(np.array([0, 1], dtype=np.int64), vertical_loops)
+    return np.concatenate([doubled, loops])
+
+
 class DrawSource:
-    """Buffered uniform draws from one generator.
+    """Buffered walker slots from one generator, mapped through a slot table.
 
     Batching the slot draws keeps the per-step cost of long simulations low
-    while consuming the underlying stream in a deterministic order.
+    while consuming the underlying stream in a deterministic order; the
+    table is applied once per refill.
     """
 
-    def __init__(self, rng: np.random.Generator, high: int, buffer: int = 4096):
+    def __init__(self, rng: np.random.Generator, table: np.ndarray, buffer: int = 4096):
         self.rng = rng
-        self.high = high
+        self.table = table
         self._buffer = buffer
-        self._slots = rng.integers(0, high, size=buffer, dtype=np.int64)
+        self._slots = self._refill()
         self._si = 0
-        self._units = rng.random(buffer)
-        self._ui = 0
+        # Unused draw, kept because the v1 output streams (CSVs, snapshots,
+        # verify reports) consumed a float buffer here; removing it shifts
+        # every later draw and waits for an output-version bump.
+        rng.random(buffer)
+
+    def _refill(self) -> np.ndarray:
+        raw = self.rng.integers(0, self.table.size, size=self._buffer, dtype=np.int64)
+        return self.table[raw]
 
     def slot(self) -> int:
         if self._si >= self._slots.size:
-            self._slots = self.rng.integers(0, self.high, size=self._buffer, dtype=np.int64)
+            self._slots = self._refill()
             self._si = 0
         v = self._slots[self._si]
         self._si += 1
         return int(v)
-
-    def unit(self) -> float:
-        if self._ui >= self._units.size:
-            self._units = self.rng.random(self._buffer)
-            self._ui = 0
-        v = self._units[self._ui]
-        self._ui += 1
-        return float(v)
 
 
 # --- bulk excursion study -----------------------------------------------------

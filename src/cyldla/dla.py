@@ -17,12 +17,14 @@ sticking distribution.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import DrawSource, GTransitionSampler, sample_excursion_shape
+from .cylinder import DrawSource, GTransitionSampler, sample_excursion_shape, slot_table
 from .graphs import RegularGraph, add_self_loops
 from .stats import BoundCheck, Chi2Result, EstimateSummary, chi_square_two_sample, make_bound_check
 
@@ -41,18 +43,6 @@ class CapExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExcursionTally:
-    """Per-drop counts of completed excursions at the entry layer."""
-
-    positive: int = 0
-    negative: int = 0
-    flat: int = 0
-    positive_long: int = 0
-    negative_long: int = 0
-    alpha: float | None = None
-
-
-@dataclass(frozen=True)
 class ParticleOutcome:
     t: int
     start_g: int
@@ -61,7 +51,6 @@ class ParticleOutcome:
     stick_g: int
     new_layer: bool
     min_layer_visited: int
-    excursions: ExcursionTally
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,6 @@ class GrowthStats:
 
     T_m: dict[int, int]
     wall_times: tuple[tuple[int, int], ...]
-    H_histogram: Counter
     kappa_histogram: Counter
     final_loads: tuple[int, ...]
     particles: int
@@ -81,12 +69,16 @@ class Cluster:
 
     Layer 0 is always full.  ``loads[i]`` counts occupied vertices at layer
     i, ``M`` is the lowest empty layer, ``t`` the number of particles added,
-    and ``stick_log`` records (t, vertex, layer) per particle.  Confine one
-    cluster to one thread; independent replicas may run concurrently.
+    and ``stick_log`` records (t, vertex, layer) per particle.
+    ``vertical_loops`` is zero for the fair walk; otherwise each vertex
+    carries that many extra slots that resolve to a fair vertical move (see
+    :func:`cyldla.cylinder.slot_table`).  Confine one cluster to one thread;
+    independent replicas may run concurrently.
     """
 
-    def __init__(self, graph: RegularGraph):
+    def __init__(self, graph: RegularGraph, vertical_loops: int = 0):
         self.graph = graph
+        self.vertical_loops = vertical_loops
         self.occ: list[bytearray] = [bytearray([1] * graph.n), bytearray(graph.n), bytearray(graph.n)]
         self.loads: list[int] = [graph.n, 0, 0]
         self.M = 1
@@ -95,7 +87,6 @@ class Cluster:
         self.wall_times: list[tuple[int, int]] = []
         self.first_reach: dict[int, int] = {}
         self._kernel: GTransitionSampler | None = None
-        self._mutant_kernel: GTransitionSampler | None = None
         self._draws: tuple[np.random.Generator, DrawSource] | None = None
 
     def kernel(self) -> GTransitionSampler:
@@ -103,21 +94,15 @@ class Cluster:
             self._kernel = GTransitionSampler(self.graph)
         return self._kernel
 
-    def mutant_kernel(self) -> GTransitionSampler:
-        """Kernel on the loop-stripped base, used only by the negative control."""
-        if self._mutant_kernel is None:
-            g = self.graph
-            loops = g.loops_per_vertex()
-            if len(set(loops)) != 1:
-                raise ValueError("mutant walk needs a uniform loop count per vertex")
-            stripped = tuple(tuple(u for u in row if u != v) for v, row in enumerate(g.neighbors))
-            base = RegularGraph(g.n, g.d - loops[0], stripped, g.label + "-stripped", g.transitive_hint)
-            self._mutant_kernel = GTransitionSampler(base)
-        return self._mutant_kernel
+    def vertical_prob(self) -> float:
+        """Chance that one step is vertical, (2 + loops) / (d + loops + 2)."""
+        loops = self.vertical_loops
+        return (2 + loops) / (self.graph.d + loops + 2)
 
     def _draw_source(self, rng: np.random.Generator) -> DrawSource:
         if self._draws is None or self._draws[0] is not rng:
-            self._draws = (rng, DrawSource(rng, self.graph.d + 2))
+            table = slot_table(self.graph.d, self.vertical_loops)
+            self._draws = (rng, DrawSource(rng, table))
         return self._draws[1]
 
     def _ensure_capacity(self) -> None:
@@ -131,13 +116,31 @@ def new_cluster(graph: RegularGraph) -> Cluster:
     return Cluster(graph)
 
 
+def negative_control_cluster(graph: RegularGraph) -> Cluster:
+    """Fresh cluster whose walk turns each loop slot into a fair vertical move.
+
+    The walk runs on the loop-stripped base with vertical probability
+    (2 + loops) / (d + 2), d counting the loop slots.  This is deliberately
+    not the law of the walk on ``graph``.
+    """
+    loops = set(graph.loops_per_vertex())
+    if len(loops) != 1:
+        raise ValueError("negative control needs a uniform loop count per vertex")
+    (ell,) = loops
+    stripped = tuple(tuple(u for u in row if u != v) for v, row in enumerate(graph.neighbors))
+    base = RegularGraph(
+        graph.n, graph.d - ell, stripped, graph.label + "-stripped", graph.transitive_hint
+    )
+    return Cluster(base, vertical_loops=ell)
+
+
 def is_boundary(cluster: Cluster, pos) -> bool:
     """True iff ``pos`` is unoccupied and adjacent to an occupied vertex.
 
     Loop slots never make a vertex its own neighbor here: an occupied vertex
     reports False regardless.
     """
-    g, z = (pos.g, pos.zeta) if hasattr(pos, "zeta") else pos
+    g, z = pos
     occ = cluster.occ
     depth = len(occ)
     if z < depth and occ[z][g]:
@@ -155,41 +158,24 @@ def is_boundary(cluster: Cluster, pos) -> bool:
     return False
 
 
-def _walk_to_boundary(
-    cluster: Cluster,
-    g0: int,
-    rng: np.random.Generator,
-    cap: int,
-    alpha: float | None = None,
-    mutant: bool = False,
-):
+def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: int):
     """Walk from (g0, M) to the first boundary vertex.
 
-    Returns (stick_g, stick_layer, kappa, min_layer, tally, literal_steps).
+    Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
     Excursions above M are fast-forwarded exactly; everything at or below M
-    is stepped literally.  ``mutant`` switches to the negative-control
-    semantics where a loop slot resolves to a fair vertical move.
+    is stepped literally.  The walk law comes from the cluster's slot table.
     """
-    graph = cluster.graph
-    n, d = graph.n, graph.d
-    nbrs = graph.neighbors
+    nbrs = cluster.graph.neighbors
     occ = cluster.occ
     m_layer = cluster.M
     src = cluster._draw_source(rng)
-    if mutant:
-        loops = graph.loops_per_vertex()[0]
-        vert_prob = (2.0 + loops) / (d + 2)
-        kernel = cluster.mutant_kernel()
-    else:
-        vert_prob = 2.0 / (d + 2)
-        kernel = cluster.kernel()
+    vert_prob = cluster.vertical_prob()
+    kernel = cluster.kernel()
 
     g, z = g0, m_layer
     kappa = 0
     literal = 0
     min_layer = m_layer
-    pos_exc = neg_exc = flat_exc = pos_long = neg_long = 0
-    below_g_steps = 0
 
     while True:
         # sticking check happens at the current position before any step
@@ -203,8 +189,7 @@ def _walk_to_boundary(
                     stuck = True
                     break
         if stuck:
-            tally = ExcursionTally(pos_exc, neg_exc, flat_exc, pos_long, neg_long, alpha)
-            return g, z, kappa, min_layer, tally, literal
+            return g, z, kappa, min_layer, literal
         if literal >= cap:
             raise CapExceededError(
                 f"drop exceeded {cap} literal steps (kappa={kappa}, min layer {min_layer})",
@@ -215,35 +200,19 @@ def _walk_to_boundary(
         s = src.slot()
         literal += 1
         if s >= 2:
-            target = nbrs[g][s - 2]
-            if mutant and target == g:
-                s = 0 if src.unit() < 0.5 else 1  # loop resolves to a fair vertical move
-            else:
-                kappa += 1
-                if z == m_layer:
-                    flat_exc += 1
-                else:
-                    below_g_steps += 1
-                g = target
-                continue
+            kappa += 1
+            g = nbrs[g][s - 2]
+            continue
         if s == 0 and z == m_layer:
             # excursion strictly above M: no boundary exists there, so draw
             # its exact shape instead of stepping through it
             _, gamma, total = sample_excursion_shape(rng, vert_prob)
             kappa += total
             g = kernel.sample(g, gamma, rng)
-            pos_exc += 1
-            if alpha is not None and gamma >= alpha:
-                pos_long += 1
             continue
         kappa += 1
         if s == 0:
             z += 1
-            if z == m_layer:
-                neg_exc += 1
-                if alpha is not None and below_g_steps >= alpha:
-                    neg_long += 1
-                below_g_steps = 0
         else:
             if z == 0:
                 raise RuntimeError("walk reached the floor layer without sticking")
@@ -253,31 +222,20 @@ def _walk_to_boundary(
 
 
 def probe_particle(
-    cluster: Cluster,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_STEP_CAP,
-    alpha: float | None = None,
-    mutant: bool = False,
+    cluster: Cluster, rng: np.random.Generator, cap: int = DEFAULT_STEP_CAP
 ) -> ParticleOutcome:
     """Walk one particle to the boundary without committing it."""
     g0 = int(rng.integers(0, cluster.graph.n))
     m_before = cluster.M
-    stick_g, h, kappa, min_layer, tally, _ = _walk_to_boundary(
-        cluster, g0, rng, cap, alpha, mutant
-    )
-    return ParticleOutcome(
-        cluster.t + 1, g0, kappa, h, stick_g, h == m_before, min_layer, tally
-    )
+    stick_g, h, kappa, min_layer, _ = _walk_to_boundary(cluster, g0, rng, cap)
+    return ParticleOutcome(cluster.t + 1, g0, kappa, h, stick_g, h == m_before, min_layer)
 
 
 def drop_particle(
-    cluster: Cluster,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_STEP_CAP,
-    alpha: float | None = None,
+    cluster: Cluster, rng: np.random.Generator, cap: int = DEFAULT_STEP_CAP
 ) -> ParticleOutcome:
     """Drop one particle, stick it, and update all bookkeeping."""
-    outcome = probe_particle(cluster, rng, cap, alpha)
+    outcome = probe_particle(cluster, rng, cap)
     _commit(cluster, outcome.stick_g, outcome.H)
     return outcome
 
@@ -301,7 +259,6 @@ def grow(
     particles: int | None = None,
     target_layer: int | None = None,
     cap: int = DEFAULT_STEP_CAP,
-    alpha: float | None = None,
 ) -> GrowthStats:
     """Drop particles until a budget is spent or a layer is first reached."""
     if particles is None and target_layer is None:
@@ -310,7 +267,6 @@ def grow(
         raise ValueError("particle budget must be >= 1")
     if target_layer is not None and target_layer < 1:
         raise ValueError("target layer must be >= 1")
-    h_hist: Counter = Counter()
     kappa_hist: Counter = Counter()
     added = 0
     while True:
@@ -318,14 +274,12 @@ def grow(
             break
         if target_layer is not None and cluster.M > target_layer:
             break
-        out = drop_particle(cluster, rng, cap, alpha)
+        out = drop_particle(cluster, rng, cap)
         added += 1
-        h_hist[out.H] += 1
         kappa_hist[out.kappa] += 1
     return GrowthStats(
         T_m=dict(cluster.first_reach),
         wall_times=tuple(cluster.wall_times),
-        H_histogram=h_hist,
         kappa_histogram=kappa_hist,
         final_loads=tuple(cluster.loads),
         particles=cluster.t,
@@ -366,13 +320,23 @@ def detect_walls(cluster: Cluster) -> list[int]:
 
 
 def wall_blocking_violations(cluster: Cluster) -> list[tuple[int, int, int]]:
-    """Sticks strictly below an earlier-completed wall: (t, layer, wall)."""
-    violations = []
-    for wall_layer, wall_t in cluster.wall_times:
-        for t, _, layer in cluster.stick_log:
-            if t > wall_t and layer < wall_layer:
-                violations.append((t, layer, wall_layer))
-    return violations
+    """Sticks strictly below an earlier-completed wall: (t, layer, wall).
+
+    One pass over the stick log.  ``wall_times`` is in completion order, so
+    the walls completed before time t form a prefix of it, and a stick can
+    only violate one of them if it lies below the highest wall of that
+    prefix.  Violations are listed wall by wall, in stick-log order.
+    """
+    walls = cluster.wall_times
+    wall_ts = [wall_t for _, wall_t in walls]
+    tops = list(itertools.accumulate((w for w, _ in walls), max, initial=0))
+    found = []
+    for t, _, layer in cluster.stick_log:
+        k = bisect.bisect_left(wall_ts, t)
+        if layer < tops[k]:
+            found.extend((i, (t, layer, w)) for i, (w, _) in enumerate(walls[:k]) if layer < w)
+    found.sort(key=lambda item: item[0])
+    return [v for _, v in found]
 
 
 # --- synthetic-state estimators -----------------------------------------------
@@ -389,22 +353,9 @@ def synthetic_cluster(graph: RegularGraph, layer: int, count: int) -> Cluster:
     if layer < 1:
         raise ValueError("layer must be >= 1")
     cluster = new_cluster(graph)
-    order = 0
     for z in range(1, layer + 1):
         for g in range(count):
-            order += 1
-            cluster.t += 1
-            while len(cluster.occ) < z + 3:
-                cluster.occ.append(bytearray(graph.n))
-                cluster.loads.append(0)
-            cluster.occ[z][g] = 1
-            cluster.loads[z] += 1
-            cluster.stick_log.append((order, g, z))
-            if cluster.loads[z] == graph.n:
-                cluster.wall_times.append((z, order))
-        cluster.first_reach[z] = (z - 1) * count + 1
-    cluster.M = layer + 1
-    cluster._ensure_capacity()
+            _commit(cluster, g, z)
     return cluster
 
 
@@ -468,7 +419,7 @@ def entry_layer_visit_set(graph: RegularGraph, trials: int, seed) -> VisitSetRes
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d = graph.d
     nbrs = graph.neighbors
-    src = DrawSource(rng, d + 2)
+    src = DrawSource(rng, slot_table(d))
     sizes = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         g = int(rng.integers(0, graph.n))
@@ -499,16 +450,15 @@ def collect_height_tuples(
     cap: int = DEFAULT_STEP_CAP,
     mutant: bool = False,
 ) -> Counter:
-    """Counter of stick-height tuples over independent short processes."""
+    """Counter of stick-height tuples over independent short processes.
+
+    With ``mutant=True`` each process runs on :func:`negative_control_cluster`.
+    """
+    fresh = negative_control_cluster if mutant else new_cluster
     counts: Counter = Counter()
     for _ in range(trials):
-        cluster = new_cluster(graph)
-        heights = []
-        for _ in range(particles):
-            out = probe_particle(cluster, rng, cap, mutant=mutant)
-            _commit(cluster, out.stick_g, out.H)
-            heights.append(out.H)
-        counts[tuple(heights)] += 1
+        cluster = fresh(graph)
+        counts[tuple(drop_particle(cluster, rng, cap).H for _ in range(particles))] += 1
     return counts
 
 
@@ -534,8 +484,9 @@ def loop_equivalence_check(
 
     The loop-augmented side should be distributed identically to the plain
     side.  With ``mutant=True`` the augmented side resolves loop slots into
-    fair vertical moves instead (a deliberately broken semantics used as a
-    negative control), which the test is expected to detect.
+    fair vertical moves instead (:func:`negative_control_cluster`, a
+    deliberately broken law used as a negative control), which the test is
+    expected to detect.
     """
     rng_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -611,7 +562,6 @@ __all__ = [
     "CapExceededError",
     "Cluster",
     "DEFAULT_STEP_CAP",
-    "ExcursionTally",
     "GrowthStats",
     "LoopEquivalenceReport",
     "ParticleOutcome",
@@ -631,6 +581,7 @@ __all__ = [
     "load_snapshot",
     "load_upto",
     "loop_equivalence_check",
+    "negative_control_cluster",
     "new_cluster",
     "probe_particle",
     "save_snapshot",

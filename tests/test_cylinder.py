@@ -5,152 +5,15 @@ import numpy as np
 import pytest
 
 from cyldla.cylinder import (
-    CylinderPosition,
     DrawSource,
-    ExcursionRecord,
     GTransitionSampler,
-    WalkTrace,
-    decompose_excursions,
-    is_alpha_long,
-    is_negative_alpha_long,
     long_excursion_frequency,
     long_excursion_probability_bound,
-    run_until,
     sample_excursion_shape,
-    step,
+    slot_table,
 )
-from cyldla.graphs import add_self_loops, make_cycle
+from cyldla.graphs import make_cycle
 from cyldla.stats import chi_square_two_sample
-
-
-def test_position_validation():
-    with pytest.raises(ValueError):
-        CylinderPosition(0, -1)
-
-
-def test_step_uniform_over_four_options():
-    g = make_cycle(4)
-    rng = np.random.default_rng(0)
-    counts = Counter()
-    trials = 40_000
-    for _ in range(trials):
-        nxt = step(g, CylinderPosition(0, 3), rng)
-        counts[(nxt.g, nxt.zeta)] += 1
-    assert set(counts) == {(1, 3), (3, 3), (0, 4), (0, 2)}
-    for c in counts.values():
-        p = c / trials
-        assert abs(p - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / trials)
-
-
-def test_step_floor_has_no_down_move():
-    g = make_cycle(4)
-    rng = np.random.default_rng(1)
-    seen = set()
-    for _ in range(2000):
-        nxt = step(g, CylinderPosition(0, 0), rng)
-        seen.add((nxt.g, nxt.zeta))
-    assert seen == {(1, 0), (3, 0), (0, 1)}
-
-
-def test_step_loop_slot_stays_in_place():
-    g = add_self_loops(make_cycle(4))
-    rng = np.random.default_rng(2)
-    outcomes = Counter()
-    for _ in range(30_000):
-        nxt = step(g, CylinderPosition(0, 2), rng)
-        outcomes[(nxt.g, nxt.zeta)] += 1
-    # five options, one of which keeps the position unchanged
-    assert set(outcomes) == {(1, 2), (3, 2), (0, 2), (0, 3), (0, 1)}
-    stay = outcomes[(0, 2)] / 30_000
-    assert abs(stay - 0.2) < 3 * math.sqrt(0.2 * 0.8 / 30_000)
-
-
-def test_run_until_checks_start_first():
-    g = make_cycle(4)
-    trace = run_until(g, CylinderPosition(2, 5), lambda p: p.zeta == 5, np.random.default_rng(0), cap=10)
-    assert len(trace.positions) == 1 and trace.stop_reason == "hit-target"
-
-
-def test_run_until_cap_flagged():
-    g = make_cycle(4)
-    trace = run_until(g, CylinderPosition(0, 5), lambda p: False, np.random.default_rng(0), cap=10)
-    assert len(trace.positions) == 11 and trace.stop_reason == "cap-exceeded"
-
-
-def test_run_until_returns_to_floor():
-    g = make_cycle(4)
-    trace = run_until(
-        g, CylinderPosition(0, 1), lambda p: p.zeta == 0, np.random.default_rng(3), cap=10**6
-    )
-    assert trace.stop_reason == "hit-target"
-    assert trace.positions[-1][1] == 0
-
-
-def test_trace_positions_adjacent():
-    g = make_cycle(5)
-    trace = run_until(g, CylinderPosition(0, 3), lambda p: False, np.random.default_rng(4), cap=500)
-    for (g1, z1), (g2, z2) in zip(trace.positions, trace.positions[1:]):
-        if z1 == z2:
-            assert g2 in g.neighbors[g1]
-        else:
-            assert g1 == g2 and abs(z1 - z2) == 1
-
-
-def _trace(zetas, gs=None):
-    gs = gs or [0] * len(zetas)
-    return WalkTrace([(g, z) for g, z in zip(gs, zetas)], "hit-target", 0)
-
-
-def test_decompose_same_layer_hop_is_own_excursion():
-    trace = _trace([3, 3, 3], gs=[0, 1, 2])
-    exc = decompose_excursions(trace, 3)
-    assert len(exc) == 2
-    assert all(e.sign == 0 and e.g_steps == 1 for e in exc)
-
-
-def test_decompose_up_down():
-    exc = decompose_excursions(_trace([5, 6, 5]), 5)
-    assert exc == [ExcursionRecord(0, 2, 1, 0)]
-
-
-def test_decompose_up_gmove_down():
-    exc = decompose_excursions(_trace([5, 6, 6, 5], gs=[0, 0, 1, 1]), 5)
-    assert exc == [ExcursionRecord(0, 3, 1, 1)]
-
-
-def test_decompose_discards_trailing():
-    exc = decompose_excursions(_trace([5, 6, 7, 6]), 5)
-    assert exc == []
-
-
-def test_decompose_needs_reference_start():
-    with pytest.raises(ValueError):
-        decompose_excursions(_trace([4, 5]), 5)
-
-
-def test_decomposed_prefix_step_accounting():
-    g = make_cycle(5)
-    trace = run_until(g, CylinderPosition(0, 40), lambda p: False, np.random.default_rng(30), cap=4000)
-    records = decompose_excursions(trace, 40)
-    assert records
-    prefix_end = records[-1].end_index
-    zetas = [z for _, z in trace.positions[: prefix_end + 1]]
-    vertical = sum(1 for a, b in zip(zetas, zetas[1:]) if a != b)
-    assert sum(r.g_steps for r in records) + vertical == prefix_end
-    # restricted to vertical moves, the layer coordinate is a fair +-1 walk
-    ups = sum(1 for a, b in zip(zetas, zetas[1:]) if b == a + 1)
-    downs = vertical - ups
-    assert abs(ups - downs) <= 3 * math.sqrt(vertical)
-
-
-def test_alpha_long_predicates():
-    pos = ExcursionRecord(0, 5, 1, 3)
-    neg = ExcursionRecord(0, 5, -1, 3)
-    flat = ExcursionRecord(0, 1, 0, 1)
-    assert is_alpha_long(pos, 2) and not is_alpha_long(neg, 2)
-    assert is_negative_alpha_long(neg, 2) and not is_negative_alpha_long(pos, 2)
-    assert is_alpha_long(ExcursionRecord(0, 2, 1, 0), 0)
-    assert not is_alpha_long(flat, 0)
 
 
 def test_excursion_shape_sampler_moments():
@@ -201,13 +64,20 @@ def test_transition_sampler_huge_exponent():
 
 
 def test_draw_source_deterministic_consumption():
-    rng_a = np.random.default_rng(9)
-    rng_b = np.random.default_rng(9)
-    src_a = DrawSource(rng_a, 4, buffer=8)
-    src_b = DrawSource(rng_b, 4, buffer=8)
-    seq_a = [src_a.slot() for _ in range(20)] + [src_a.unit() for _ in range(20)]
-    seq_b = [src_b.slot() for _ in range(20)] + [src_b.unit() for _ in range(20)]
-    assert seq_a == seq_b
+    src = DrawSource(np.random.default_rng(9), slot_table(2), buffer=8)
+    ref = np.random.default_rng(9)
+    expected = list(ref.integers(0, 4, size=8))
+    ref.random(8)  # the float buffer the v1 streams drew at construction
+    expected += list(ref.integers(0, 4, size=8)) + list(ref.integers(0, 4, size=8))
+    assert [src.slot() for _ in range(20)] == expected[:20]
+
+
+def test_draw_source_maps_draws_through_table():
+    table = slot_table(1, vertical_loops=1)
+    src = DrawSource(np.random.default_rng(12), table, buffer=8)
+    ref = np.random.default_rng(12)
+    raw = ref.integers(0, table.size, size=8)
+    assert [src.slot() for _ in range(8)] == list(table[raw])
 
 
 def test_long_excursion_bound_value():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cyldla.dla import (
     load_snapshot,
     load_upto,
     loop_equivalence_check,
+    negative_control_cluster,
     new_cluster,
     probe_particle,
     save_snapshot,
@@ -27,7 +29,14 @@ from cyldla.dla import (
     synthetic_cluster,
     wall_blocking_violations,
 )
-from cyldla.graphs import make_complete, make_cycle, make_hypercube, make_torus
+from cyldla.graphs import (
+    add_self_loops,
+    make_complete,
+    make_cycle,
+    make_hypercube,
+    make_torus,
+    parse_graph_spec,
+)
 from cyldla.oracles import first_hit_distribution, total_variation
 
 
@@ -133,6 +142,32 @@ def test_wall_blocking_holds_under_growth():
     assert wall_blocking_violations(c) == []
 
 
+def _wall_violations_reference(cluster):
+    # the definition, one pass per wall
+    return [
+        (t, layer, wall_layer)
+        for wall_layer, wall_t in cluster.wall_times
+        for t, _, layer in cluster.stick_log
+        if t > wall_t and layer < wall_layer
+    ]
+
+
+def test_wall_blocking_single_pass_matches_definition():
+    c = new_cluster(make_complete(3))
+    grow(c, np.random.default_rng(1), particles=400)
+    assert len(c.wall_times) == 9
+    assert wall_blocking_violations(c) == _wall_violations_reference(c) == []
+    lowest, low_t = c.wall_times[0]
+    highest = max(w for w, _ in c.wall_times)
+    t = c.t
+    for g, layer in [(0, lowest - 1), (1, highest - 1), (2, 1), (0, c.M - 1)]:
+        t += 1
+        c.stick_log.append((t, g, layer))
+    c.stick_log.append((low_t, 2, 0))  # the wall's own time does not count
+    found = wall_blocking_violations(c)
+    assert found and found == _wall_violations_reference(c)
+
+
 def test_stick_log_determinism():
     g = make_cycle(6)
     a = new_cluster(g)
@@ -194,6 +229,36 @@ def test_synthetic_cluster_shape():
         synthetic_cluster(g, layer=1, count=5)
 
 
+def _synthetic_reference(graph, layer, count):
+    # layer-by-layer bookkeeping, written out without _commit
+    c = new_cluster(graph)
+    for z in range(1, layer + 1):
+        for g in range(count):
+            c.t += 1
+            while len(c.occ) < z + 3:
+                c.occ.append(bytearray(graph.n))
+                c.loads.append(0)
+            c.occ[z][g] = 1
+            c.loads[z] += 1
+            c.stick_log.append((c.t, g, z))
+            if c.loads[z] == graph.n:
+                c.wall_times.append((z, c.t))
+        c.first_reach[z] = (z - 1) * count + 1
+    c.M = layer + 1
+    c._ensure_capacity()
+    return c
+
+
+@pytest.mark.parametrize(
+    "spec,layer,count", [("cycle:4", 2, 2), ("complete:4", 3, 4), ("torus:3x3", 4, 9)]
+)
+def test_synthetic_cluster_matches_direct_bookkeeping(spec, layer, count):
+    g = parse_graph_spec(spec)
+    got, want = synthetic_cluster(g, layer, count), _synthetic_reference(g, layer, count)
+    for attr in ("occ", "loads", "M", "t", "stick_log", "wall_times", "first_reach"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+
+
 def test_stick_above_wall_case():
     g = make_complete(4)
     res = dla.stick_above_frequency(g, layer=2, count=4, trials=300, seed=18)
@@ -230,6 +295,25 @@ def test_loop_equivalence_pass_and_mutant_fail():
     assert not mutant.passed
 
 
+@pytest.mark.parametrize("loops", [1, 2])
+def test_negative_control_law_exact(loops):
+    g = make_complete(3)
+    for _ in range(loops):
+        g = add_self_loops(g)
+    d = g.d  # slots per vertex, loops included
+    c = negative_control_cluster(g)
+    assert c.vertical_loops == loops and c.graph.d == d - loops
+    assert all(v not in row for v, row in enumerate(c.graph.neighbors))
+    table = c._draw_source(np.random.default_rng(0)).table
+    counts = Counter(int(s) for s in table)
+    prob = {s: Fraction(k, table.size) for s, k in counts.items()}
+    assert prob[0] == prob[1] == Fraction(2 + loops, 2 * (d + 2))
+    assert set(prob) == set(range(c.graph.d + 2))
+    assert all(prob[s] == Fraction(1, d + 2) for s in range(2, c.graph.d + 2))
+    assert c.vertical_prob() == float(prob[0] + prob[1])
+    assert new_cluster(g).vertical_prob() == 2 / (d + 2)
+
+
 def test_loop_equivalence_self_test_identical_streams():
     g = make_complete(3)
     rng_a = np.random.default_rng(22)
@@ -237,23 +321,6 @@ def test_loop_equivalence_self_test_identical_streams():
     counts_a = collect_height_tuples(g, particles=5, trials=300, rng=rng_a)
     counts_b = collect_height_tuples(g, particles=5, trials=300, rng=rng_b)
     assert counts_a == counts_b  # identical streams give chi-square 0, p = 1
-
-
-def test_excursion_tally_records_sign_and_length():
-    g = make_cycle(5)
-    rng = np.random.default_rng(23)
-    c = new_cluster(g)
-    grow(c, rng, particles=60)
-    saw_positive = saw_long = 0
-    for _ in range(400):
-        out = probe_particle(c, rng, alpha=2.0)
-        tally = out.excursions
-        assert tally.positive >= tally.positive_long
-        assert tally.negative >= tally.negative_long
-        saw_positive += tally.positive
-        saw_long += tally.positive_long
-        assert out.min_layer_visited <= c.M
-    assert saw_positive > 0 and saw_long > 0
 
 
 def test_cap_exceeded_is_hard_error():
