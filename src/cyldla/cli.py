@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("walk1d", "spectral", "dla", "all"))
+    p.add_argument("suite", choices=(*verify.SUITES, "all"))
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_verify)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import RegularGraph
+from .spectral import bipartite_like
 from .stats import BoundCheck, EstimateSummary, make_bound_check
 from .walk1d import sample_first_passage_moves
 
@@ -75,7 +76,8 @@ def sample_excursion_shape(rng: np.random.Generator, vertical_prob: float) -> tu
 class GTransitionSampler:
     """Exact sampling of the base coordinate after many same-layer moves.
 
-    Uses the symmetric eigendecomposition of the slot walk P = A/d: the
+    Reads the graph's cached eigendecomposition of the slot walk P = A/d
+    (``g.walk_spectrum``), so every sampler on one graph shares it: the
     distribution after ``gamma`` moves from vertex ``g`` is the g-th row of
     P^gamma.  Short runs are stepped literally; once the power is within
     1e-14 of its limit (and the base is not bipartite) a uniform draw is
@@ -86,13 +88,13 @@ class GTransitionSampler:
     def __init__(self, g: RegularGraph):
         self.graph = g
         self._nbrs = g.neighbors
-        w, u = np.linalg.eigh(g.transition_matrix())
+        w, u = g.walk_spectrum
         self._w = w
         self._u = u
         others = np.abs(w[:-1])
         self._lam = float(others.max()) if others.size else 0.0
         self._log_lam = math.log(self._lam) if 0.0 < self._lam < 1.0 else None
-        self._bipartite_like = bool(w[0] <= -1.0 + 1e-9)
+        self._bipartite_like = bipartite_like(w[0])
 
     def sample(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         if gamma <= 0:
@@ -295,7 +297,7 @@ def long_excursion_frequency(
         raise ValueError("alpha must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     signs, g_steps, lengths, capped, floor = _simulate_excursion_skeletons(
         g.d, trials, cap, rng, start_offset
     )

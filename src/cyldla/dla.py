@@ -383,7 +383,7 @@ def stick_above_frequency(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cluster = synthetic_cluster(graph, layer, count)
     hits = 0
     for _ in range(trials):
@@ -416,7 +416,7 @@ def entry_layer_visit_set(graph: RegularGraph, trials: int, seed) -> VisitSetRes
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = graph.d
     nbrs = graph.neighbors
     src = DrawSource(rng, slot_table(d))

@@ -157,7 +157,6 @@ class GrowthResult:
     graph: RegularGraph
     per_layer: tuple[GrowthEstimate, ...]
     pathwise_monotone: bool
-    cap_hits: int = 0
 
 
 def estimate_T(config: ExperimentConfig, graph: RegularGraph | None = None) -> GrowthResult:
@@ -317,7 +316,7 @@ def estimate_new_layer_probability(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cluster = cluster if cluster is not None else dla.new_cluster(graph)
     m_layer = cluster.M
     hits = 0
@@ -370,7 +369,7 @@ def diagnostics(
         raise ValueError("diagnostics need n >= 16")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cluster = cluster if cluster is not None else dla.new_cluster(graph)
     mu = math.floor(math.log(n) / (4.0 * math.log(math.log(n))))
     nu = math.log(n)

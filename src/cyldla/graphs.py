@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class RegularGraph:
     """Immutable d-regular graph with slot-list adjacency.
 
     ``neighbors[v]`` has exactly ``d`` entries; an entry equal to ``v``
-    represents one self loop.  Instances are safe to share across threads.
+    represents one self loop.  Instances are safe to share across threads;
+    :attr:`walk_spectrum` is computed on first use and cached on the instance.
     """
 
     n: int
@@ -43,6 +45,19 @@ class RegularGraph:
     def transition_matrix(self) -> np.ndarray:
         """Row-stochastic matrix of the uniform-slot walk, A/d."""
         return self.adjacency_matrix() / self.d
+
+    @cached_property
+    def walk_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors of A/d.
+
+        The one decomposition of the base walk: the spectral profile and the
+        excursion sampler both read it.  The arrays are shared, so they are
+        returned read-only.
+        """
+        w, u = np.linalg.eigh(self.transition_matrix())
+        w.flags.writeable = False
+        u.flags.writeable = False
+        return w, u
 
     def loop_count(self) -> int:
         return sum(1 for v, row in enumerate(self.neighbors) for u in row if u == v)

@@ -11,7 +11,6 @@ from .stats import BoundCheck, EstimateSummary
 
 DENSE_EIG_CUTOFF = 4096
 EIG_TOL = 1e-9
-TRACE_TOL = 1e-6
 PATH_BOUND_RTOL = 1e-9
 MIN_ENTRY_SLACK = 1e-12
 
@@ -21,7 +20,8 @@ class SpectralProfile:
     """Spectrum of the uniform-slot walk P = A/d on one graph.
 
     ``lam`` is the largest absolute eigenvalue after removing one copy of
-    the top eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0.
+    the top eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0:
+    a smallest eigenvalue within ``EIG_TOL`` of -1 counts as exactly -1.
     ``mixing_time`` is None until computed, or the string sentinel
     ``"exceeded-cap"`` when the search cap was hit.
     """
@@ -35,23 +35,29 @@ class SpectralProfile:
 
 
 def eigen_profile(g: RegularGraph, dense_cutoff: int = DENSE_EIG_CUTOFF) -> SpectralProfile:
-    """Full symmetric eigendecomposition of P = A/d (dense up to the cutoff).
+    """Spectrum of P = A/d, read from ``g.walk_spectrum`` up to the cutoff.
 
     Beyond the cutoff, the second eigenvalue is found by power iteration on
     the uniform-deflated matrix to tolerance 1e-9 and the eigenvalue list is
     truncated to the known extremes.
     """
     if g.n <= dense_cutoff:
-        p = g.transition_matrix()
-        w = np.linalg.eigvalsh(p)[::-1]
+        w = g.walk_spectrum[0][::-1]
         if abs(w[0] - 1.0) > EIG_TOL:
             raise RuntimeError(f"top eigenvalue {w[0]} differs from 1 beyond tolerance")
-        lam = float(np.max(np.abs(w[1:]))) if g.n > 1 else 0.0
-        lam = min(lam, 1.0)
+        if bipartite_like(w[-1]):
+            lam = 1.0
+        else:
+            lam = min(float(np.max(np.abs(w[1:]))), 1.0) if g.n > 1 else 0.0
         return SpectralProfile(g.n, g.d, tuple(float(x) for x in w), lam, 1.0 - lam)
     lam_signed = _deflated_power_iteration(g)
     lam = min(abs(lam_signed), 1.0)
     return SpectralProfile(g.n, g.d, (1.0, float(lam_signed)), lam, 1.0 - lam)
+
+
+def bipartite_like(smallest_eigenvalue: float) -> bool:
+    """Whether the walk's smallest eigenvalue is -1 up to ``EIG_TOL``."""
+    return bool(smallest_eigenvalue <= -1.0 + EIG_TOL)
 
 
 def _deflated_power_iteration(g: RegularGraph, tol: float = EIG_TOL, max_iter: int = 200_000) -> float:
@@ -220,7 +226,7 @@ def avoidance_frequency(g: RegularGraph, sets, trials: int, seed) -> EstimateSum
     """Monte-Carlo frequency of a uniform-start walk staying in all sets."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     nbrs = np.array(g.neighbors, dtype=np.int64)
     pos = rng.integers(0, g.n, size=trials)
     ok = np.ones(trials, dtype=bool)

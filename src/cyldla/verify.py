@@ -32,8 +32,6 @@ from .spectral import (
 )
 from .stats import EstimateSummary
 
-SUITES = ("walk1d", "spectral", "dla")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -558,13 +556,13 @@ def dla_checks(seed: int) -> list[CheckResult]:
     ]
 
 
+SUITES = {"walk1d": walk1d_checks, "spectral": spectral_checks, "dla": dla_checks}
+
+
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
-    if suite == "walk1d":
-        return walk1d_checks(seed)
-    if suite == "spectral":
-        return spectral_checks(seed)
-    if suite == "dla":
-        return dla_checks(seed)
+    """Results of one suite, or of every suite in order for ``"all"``."""
     if suite == "all":
-        return walk1d_checks(seed) + spectral_checks(seed) + dla_checks(seed)
-    raise ValueError(f"unknown suite {suite!r}; pick one of walk1d, spectral, dla, all")
+        return [r for checks in SUITES.values() for r in checks(seed)]
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}, all")
+    return SUITES[suite](seed)

@@ -106,7 +106,7 @@ def simulate_lazy_walk(params: LazyWalkParams, steps: int, seed) -> np.ndarray:
     """Reproducible lazy-walk path S(0..steps); ``seed`` may be a Generator."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random(steps)
     inc = np.where(u < params.alpha / 2.0, 1, np.where(u < params.alpha, -1, 0))
     path = np.zeros(steps + 1, dtype=np.int64)
@@ -116,7 +116,7 @@ def simulate_lazy_walk(params: LazyWalkParams, steps: int, seed) -> np.ndarray:
 
 def simulate_lazy_walks(params: LazyWalkParams, steps: int, walks: int, seed) -> np.ndarray:
     """Vectorized batch of lazy-walk paths, shape (walks, steps + 1)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random((walks, steps))
     inc = np.where(u < params.alpha / 2.0, 1, np.where(u < params.alpha, -1, 0))
     out = np.zeros((walks, steps + 1), dtype=np.int64)

@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyldla import experiment
+from cyldla.cylinder import GTransitionSampler
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
     make_cycle,
     make_hypercube,
     make_torus,
+    parse_graph_spec,
 )
 from cyldla.spectral import (
     avoidance_bound,
@@ -62,6 +65,58 @@ def test_power_iteration_fallback_matches_dense():
     power = eigen_profile(g, dense_cutoff=4)
     assert power.lam == pytest.approx(dense.lam, abs=1e-6)
     assert len(power.eigenvalues) == 2
+
+
+def test_walk_spectrum_is_cached_and_read_only():
+    g = make_torus(4, 2)
+    w, u = g.walk_spectrum
+    assert g.walk_spectrum[0] is w and g.walk_spectrum[1] is u
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.allclose(u @ np.diag(w) @ u.T, g.transition_matrix(), atol=1e-12)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
+def test_one_decomposition_per_graph(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+    g = parse_graph_spec("random:40:3:seed=1")
+    config = experiment.ExperimentConfig(
+        graph_spec=g.label, target_layers=(4,), replicas=5, base_seed=2, density_overshoot=2
+    )
+    result = experiment.estimate_density(config, g)
+    assert all(run.cluster._kernel._u is g.walk_spectrum[1] for run in result.runs)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+BIPARTITE_SPECS = (
+    [f"cycle:{n}" for n in range(4, 65, 2)]
+    + [f"hypercube:{k}" for k in range(2, 9)]
+    + ["torus:4x4", "torus:6x6x6"]
+)
+
+
+@pytest.mark.parametrize("spec", BIPARTITE_SPECS)
+def test_bipartite_bases_report_exact_unit_lambda(spec):
+    g = parse_graph_spec(spec)
+    prof = eigen_profile(g)
+    assert prof.lam == 1.0 and prof.gap == 0.0
+    assert GTransitionSampler(g)._bipartite_like
 
 
 def _exact_lazy_mixing(g, cap):
