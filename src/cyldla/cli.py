@@ -17,8 +17,8 @@ from . import dla, render, verify
 from .cylinder import DEFAULT_EXCURSION_CAP, DEFAULT_START_OFFSET, long_excursion_frequency
 from .dla import CapExceededError
 from .experiment import (
-    CSV_MAGIC,
     ExperimentConfig,
+    csv_lines,
     density_csv_rows,
     estimate_density,
     fit_growth_exponent,
@@ -134,17 +134,14 @@ def cmd_simulate(args) -> int:
             print(f"wrote {outputs.probes_csv}")
         return EXIT_OK
     result = estimate_density(config)
-    lines = [f"# {CSV_MAGIC} config_hash={config.config_hash()}", "replica,m,T_m"]
-    lines += [",".join(str(x) for x in row) for row in growth_csv_rows(result)]
-    _emit(lines, None)
+    _emit(csv_lines(config.config_hash(), "replica,m,T_m", growth_csv_rows(result)), None)
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
     config = _sweep_config(args, phi=args.phi)
     result = estimate_density(config)
-    lines = [f"# {CSV_MAGIC} config_hash={config.config_hash()}", "replica,m,phi,D_m"]
-    lines += [",".join(str(x) for x in row) for row in density_csv_rows(result)]
+    lines = csv_lines(config.config_hash(), "replica,m,phi,D_m", density_csv_rows(result))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _emit(lines, os.path.join(args.out, "density.csv"))

@@ -9,7 +9,8 @@ hop returns immediately and forms its own one-step excursion.
 The cluster walker itself lives in :mod:`cyldla.dla`; this module holds what
 it is built from and checked against:
 
-* the walk law as a slot table, read through :class:`DrawSource`;
+* the walk law as a slot table, read one drop at a time through
+  :func:`walk_slots`;
 * exact-law machinery for the heavy-tailed part of the walk.  The vertical
   first-return time of an excursion has infinite mean, so bulk estimators
   cannot afford to step through it.  :func:`sample_excursion_shape` draws the
@@ -35,7 +36,6 @@ from .walk1d import sample_first_passage_moves
 
 DEFAULT_EXCURSION_CAP = 1_000_000
 DEFAULT_START_OFFSET = 1_000_000
-_NEGBIN_EXACT_LIMIT = 10**12
 _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
 
@@ -44,18 +44,15 @@ _DIRECT_HOP_LIMIT = 64
 
 
 def sample_negative_binomial(rng: np.random.Generator, successes: int, p: float) -> int:
-    """Failures before the given number of successes; safe for huge counts.
+    """Failures before the given number of successes, drawn exactly.
 
-    Beyond the exact-sampler range the count is drawn from the matching
-    normal approximation, which is indistinguishable at that scale.
+    numpy's Poisson-Gamma sampler takes counts up to about 9.2e18 at p = 1/2
+    (3.7e18 at p = 2/7); beyond that its ValueError is a hard error, never an
+    approximation.
     """
     if successes <= 0:
         return 0
-    if successes <= _NEGBIN_EXACT_LIMIT:
-        return int(rng.negative_binomial(successes, p))
-    mean = successes * (1.0 - p) / p
-    sd = math.sqrt(successes * (1.0 - p)) / p
-    return max(0, int(round(mean + sd * rng.standard_normal())))
+    return int(rng.negative_binomial(successes, p))
 
 
 def sample_excursion_shape(rng: np.random.Generator, vertical_prob: float) -> tuple[int, int, int]:
@@ -150,36 +147,18 @@ def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
     return np.concatenate([doubled, loops])
 
 
-class DrawSource:
-    """Buffered walker slots from one generator, mapped through a slot table.
+def walk_slots(rng: np.random.Generator, table: np.ndarray):
+    """Walker slots for one drop: raw draws from ``rng`` mapped through ``table``.
 
-    Batching the slot draws keeps the per-step cost of long simulations low
-    while consuming the underlying stream in a deterministic order; the
-    table is applied once per refill.
+    Raw draws are taken in blocks of 64, 128, ... up to 4,096, only when the
+    previous block is used up, so a drop that sticks early consumes few
+    numbers and a long one pays one generator call per 4,096 steps.  The
+    block sizes are part of the output stream.
     """
-
-    def __init__(self, rng: np.random.Generator, table: np.ndarray, buffer: int = 4096):
-        self.rng = rng
-        self.table = table
-        self._buffer = buffer
-        self._slots = self._refill()
-        self._si = 0
-        # Unused draw, kept because the v1 output streams (CSVs, snapshots,
-        # verify reports) consumed a float buffer here; removing it shifts
-        # every later draw and waits for an output-version bump.
-        rng.random(buffer)
-
-    def _refill(self) -> np.ndarray:
-        raw = self.rng.integers(0, self.table.size, size=self._buffer, dtype=np.int64)
-        return self.table[raw]
-
-    def slot(self) -> int:
-        if self._si >= self._slots.size:
-            self._slots = self._refill()
-            self._si = 0
-        v = self._slots[self._si]
-        self._si += 1
-        return int(v)
+    block = 64
+    while True:
+        yield from table[rng.integers(0, table.size, size=block)].tolist()
+        block = min(2 * block, 4096)
 
 
 # --- bulk excursion study -----------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import DrawSource, GTransitionSampler, sample_excursion_shape, slot_table
+from .cylinder import GTransitionSampler, sample_excursion_shape, slot_table, walk_slots
 from .graphs import RegularGraph, add_self_loops
 from .stats import BoundCheck, Chi2Result, EstimateSummary, chi_square_two_sample, make_bound_check
 
@@ -72,13 +72,16 @@ class Cluster:
     and ``stick_log`` records (t, vertex, layer) per particle.
     ``vertical_loops`` is zero for the fair walk; otherwise each vertex
     carries that many extra slots that resolve to a fair vertical move (see
-    :func:`cyldla.cylinder.slot_table`).  Confine one cluster to one thread;
-    independent replicas may run concurrently.
+    :func:`cyldla.cylinder.slot_table`, held as ``slot_table``).  A cluster
+    holds no random state: each drop draws from the generator it is given.
+    Confine one cluster to one thread; independent replicas may run
+    concurrently.
     """
 
     def __init__(self, graph: RegularGraph, vertical_loops: int = 0):
         self.graph = graph
         self.vertical_loops = vertical_loops
+        self.slot_table = slot_table(graph.d, vertical_loops)
         self.occ: list[bytearray] = [bytearray([1] * graph.n), bytearray(graph.n), bytearray(graph.n)]
         self.loads: list[int] = [graph.n, 0, 0]
         self.M = 1
@@ -87,7 +90,6 @@ class Cluster:
         self.wall_times: list[tuple[int, int]] = []
         self.first_reach: dict[int, int] = {}
         self._kernel: GTransitionSampler | None = None
-        self._draws: tuple[np.random.Generator, DrawSource] | None = None
 
     def kernel(self) -> GTransitionSampler:
         if self._kernel is None:
@@ -98,12 +100,6 @@ class Cluster:
         """Chance that one step is vertical, (2 + loops) / (d + loops + 2)."""
         loops = self.vertical_loops
         return (2 + loops) / (self.graph.d + loops + 2)
-
-    def _draw_source(self, rng: np.random.Generator) -> DrawSource:
-        if self._draws is None or self._draws[0] is not rng:
-            table = slot_table(self.graph.d, self.vertical_loops)
-            self._draws = (rng, DrawSource(rng, table))
-        return self._draws[1]
 
     def _ensure_capacity(self) -> None:
         while len(self.occ) < self.M + 2:
@@ -163,12 +159,14 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
 
     Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
     Excursions above M are fast-forwarded exactly; everything at or below M
-    is stepped literally.  The walk law comes from the cluster's slot table.
+    is stepped literally.  The walk law comes from the cluster's slot table,
+    read through a fresh :func:`cyldla.cylinder.walk_slots` stream, so the
+    outcome depends only on the cluster and the state of ``rng``.
     """
     nbrs = cluster.graph.neighbors
     occ = cluster.occ
     m_layer = cluster.M
-    src = cluster._draw_source(rng)
+    slots = walk_slots(rng, cluster.slot_table)
     vert_prob = cluster.vertical_prob()
     kernel = cluster.kernel()
 
@@ -197,7 +195,7 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
                 kappa,
                 min_layer,
             )
-        s = src.slot()
+        s = next(slots)
         literal += 1
         if s >= 2:
             kappa += 1
@@ -419,13 +417,13 @@ def entry_layer_visit_set(graph: RegularGraph, trials: int, seed) -> VisitSetRes
     rng = np.random.default_rng(seed)
     d = graph.d
     nbrs = graph.neighbors
-    src = DrawSource(rng, slot_table(d))
+    slots = walk_slots(rng, slot_table(d))
     sizes = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         g = int(rng.integers(0, graph.n))
         seen = {g}
         while True:
-            s = src.slot()
+            s = next(slots)
             if s < 2:
                 break
             g = nbrs[g][s - 2]
@@ -526,18 +524,29 @@ def save_snapshot(cluster: Cluster, path) -> None:
 
 
 def load_snapshot(path) -> SnapshotData:
+    """Read a snapshot file; a malformed header or entry raises ValueError."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith(SNAPSHOT_MAGIC):
         raise ValueError("not a cluster snapshot file")
-    fields = dict(part.split("=") for part in lines[0][len(SNAPSHOT_MAGIC) :].split())
+    fields = dict(part.partition("=")[::2] for part in lines[0][len(SNAPSHOT_MAGIC) :].split())
+    header = []
+    for key in ("n", "d", "t", "M"):
+        try:
+            header.append(int(fields[key]))
+        except (KeyError, ValueError):
+            raise ValueError(f"snapshot header needs an integer {key}=: {lines[0]!r}") from None
+    n = header[0]
     entries = []
-    for line in lines[1:]:
-        layer, vertex, order = (int(x) for x in line.split())
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            layer, vertex, order = (int(x) for x in line.split())
+        except ValueError:
+            raise ValueError(f"snapshot line {lineno} is not 3 integers: {line!r}") from None
+        if not 0 <= vertex < n or layer < 0:
+            raise ValueError(f"snapshot line {lineno} is outside n={n} x layers >= 0: {line!r}")
         entries.append((layer, vertex, order))
-    return SnapshotData(
-        int(fields["n"]), int(fields["d"]), int(fields["t"]), int(fields["M"]), tuple(entries)
-    )
+    return SnapshotData(*header, tuple(entries))
 
 
 def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:

@@ -22,7 +22,7 @@ from .graphs import RegularGraph, parse_graph_spec
 from .spectral import check_fast_mixing, compute_profile, eigen_profile
 from .stats import BoundCheck, EstimateSummary, make_bound_check
 
-CSV_MAGIC = "cyldla v1"
+CSV_MAGIC = "cyldla v2"
 
 
 def replica_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -40,7 +40,6 @@ class ExperimentConfig:
     base_seed: int = 0
     step_cap: int = dla.DEFAULT_STEP_CAP
     density_overshoot: int | None = None  # None: ceil(sqrt(max m)) + 10
-    alphas: tuple[float, ...] = ()
     probe_trials: int = 0
     output_dir: str | None = None
 
@@ -74,7 +73,6 @@ class ExperimentConfig:
             "base_seed": self.base_seed,
             "step_cap": self.step_cap,
             "density_overshoot": self.overshoot(),
-            "alphas": list(self.alphas),
             "probe_trials": self.probe_trials,
         }
 
@@ -504,12 +502,16 @@ def bound_dashboard(
 # --- CSV output -----------------------------------------------------------------
 
 
+def csv_lines(config_hash: str, header: str, rows) -> list[str]:
+    """One output CSV: the version and config-hash comment, the header, the rows."""
+    lines = [f"# {CSV_MAGIC} config_hash={config_hash}", header]
+    lines += [",".join(str(x) for x in row) for row in rows]
+    return lines
+
+
 def _write_csv(path: str, config_hash: str, header: str, rows) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {CSV_MAGIC} config_hash={config_hash}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        fh.write("\n".join(csv_lines(config_hash, header, rows)) + "\n")
 
 
 def growth_csv_rows(result: DensityResult) -> list[tuple]:

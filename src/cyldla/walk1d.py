@@ -179,14 +179,15 @@ def zeros_constant(alpha: float, eps: float) -> float:
 #
 # rho = number of moves a simple +-1 walk takes to first reach one step below
 # its start.  rho is odd, and P(rho > 2k) = 2^(-2k) * C(2k, k).  The sampler
-# inverts this tail with log-gamma arithmetic, so it supports the full heavy
-# tail without tables.
+# inverts this tail: an exact product for k <= 64, and above that the
+# asymptotic series of the central binomial coefficient, whose relative error
+# is below 1.3e-12 at k = 65 and reaches machine precision near k = 1e3.  The
+# series stays finite and non-increasing at every k the sampler can reach,
+# which a difference of log-gamma values does not (it overflows near 6.5e16).
 
 _SMALL_TAIL = [1.0]
 for _k in range(1, 65):
     _SMALL_TAIL.append(_SMALL_TAIL[-1] * (2 * _k - 1) / (2 * _k))
-
-_LN2 = math.log(2.0)
 
 
 def first_passage_tail(k: int) -> float:
@@ -195,7 +196,9 @@ def first_passage_tail(k: int) -> float:
         raise ValueError("k must be >= 0")
     if k < len(_SMALL_TAIL):
         return _SMALL_TAIL[k]
-    return math.exp(math.lgamma(2 * k + 1) - 2.0 * math.lgamma(k + 1) - 2 * k * _LN2)
+    x = 1.0 / k
+    series = 1.0 - x / 8.0 + x * x / 128.0 + 5.0 * x**3 / 1024.0 - 21.0 * x**4 / 32768.0
+    return series / math.sqrt(math.pi * k)
 
 
 def sample_first_passage_moves(rng: np.random.Generator) -> int:

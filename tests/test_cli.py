@@ -90,7 +90,7 @@ def test_simulate_writes_schema_a(tmp_path, capsys):
     )
     assert code == 0
     growth = (tmp_path / "growth.csv").read_text().splitlines()
-    assert growth[0].startswith("# cyldla v1 config_hash=")
+    assert growth[0].startswith("# cyldla v2 config_hash=")
     assert growth[1] == "replica,m,T_m"
     assert len(growth) == 2 + 20 * 10
     first = growth[2].split(",")
@@ -157,6 +157,42 @@ def test_render_cli(tmp_path, capsys):
     out2 = tmp_path / "again.ppm"
     run_cli(capsys, "render", str(snap_path), "--out", str(out2))
     assert out2.read_bytes() == data
+
+
+SNAPSHOT_FLOOR = "0 0 0\n0 1 0\n0 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cyldla v1 n=3 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",  # no d
+        "cyldla v1 n=3 d=two t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",
+        "cyldla v1 n=3 d t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1 0\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 x 1\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 7 1\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 -1 1\n",
+        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "-1 1 1\n",
+    ],
+)
+def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys, text):
+    from cyldla import dla
+
+    path = tmp_path / "bad.snap"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        dla.load_snapshot(path)
+    code, _, err = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "bad.ppm"))
+    assert code == 2 and err.splitlines()[-1].startswith("error: snapshot")
+    assert not (tmp_path / "bad.ppm").exists()
+
+
+def test_wellformed_snapshot_text_renders(tmp_path, capsys):
+    path = tmp_path / "good.snap"
+    path.write_text("cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n")
+    code, _, _ = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "good.ppm"))
+    assert code == 0
 
 
 def test_fit_gamma_cli(capsys):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cyldla.cylinder import (
-    DrawSource,
     GTransitionSampler,
     long_excursion_frequency,
     long_excursion_probability_bound,
     sample_excursion_shape,
+    sample_negative_binomial,
     slot_table,
+    walk_slots,
 )
 from cyldla.graphs import make_cycle
 from cyldla.stats import chi_square_two_sample
@@ -63,21 +64,45 @@ def test_transition_sampler_huge_exponent():
     assert np.abs(counts - 0.2).max() < 0.05
 
 
-def test_draw_source_deterministic_consumption():
-    src = DrawSource(np.random.default_rng(9), slot_table(2), buffer=8)
+def test_walk_slots_consumes_doubling_blocks():
+    rng = np.random.default_rng(9)
+    slots = walk_slots(rng, slot_table(2))
     ref = np.random.default_rng(9)
-    expected = list(ref.integers(0, 4, size=8))
-    ref.random(8)  # the float buffer the v1 streams drew at construction
-    expected += list(ref.integers(0, 4, size=8)) + list(ref.integers(0, 4, size=8))
-    assert [src.slot() for _ in range(20)] == expected[:20]
+    expected = []
+    for block in (64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096):
+        expected += ref.integers(0, 4, size=block).tolist()
+    got = [next(slots) for _ in range(len(expected))]
+    assert got == expected
+    # nothing is drawn ahead of the block in use
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_draw_source_maps_draws_through_table():
+def test_walk_slots_draws_lazily():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    slots = walk_slots(rng, slot_table(2))
+    assert rng.bit_generator.state == before  # an unstarted stream draws nothing
+    next(slots)
+    ref = np.random.default_rng(3)
+    ref.integers(0, 4, size=64)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_walk_slots_maps_draws_through_table():
     table = slot_table(1, vertical_loops=1)
-    src = DrawSource(np.random.default_rng(12), table, buffer=8)
+    slots = walk_slots(np.random.default_rng(12), table)
     ref = np.random.default_rng(12)
-    raw = ref.integers(0, table.size, size=8)
-    assert [src.slot() for _ in range(8)] == list(table[raw])
+    raw = np.concatenate([ref.integers(0, table.size, size=block) for block in (64, 128)])
+    assert [next(slots) for _ in range(64 + 128)] == table[raw].tolist()
+    assert set(table[raw].tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [1 / 2, 0.4, 2 / 7])
+def test_negative_binomial_is_exact_at_huge_counts(p):
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    assert sample_negative_binomial(rng, 10**13, p) == int(twin.negative_binomial(10**13, p))
+    with pytest.raises(ValueError):
+        sample_negative_binomial(rng, 10**19, p)
 
 
 def test_long_excursion_bound_value():

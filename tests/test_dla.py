@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 from fractions import Fraction
@@ -155,7 +156,7 @@ def _wall_violations_reference(cluster):
 def test_wall_blocking_single_pass_matches_definition():
     c = new_cluster(make_complete(3))
     grow(c, np.random.default_rng(1), particles=400)
-    assert len(c.wall_times) == 9
+    assert len(c.wall_times) == 6
     assert wall_blocking_violations(c) == _wall_violations_reference(c) == []
     lowest, low_t = c.wall_times[0]
     highest = max(w for w, _ in c.wall_times)
@@ -166,6 +167,17 @@ def test_wall_blocking_single_pass_matches_definition():
     c.stick_log.append((low_t, 2, 0))  # the wall's own time does not count
     found = wall_blocking_violations(c)
     assert found and found == _wall_violations_reference(c)
+
+
+def test_drop_outcome_depends_only_on_cluster_and_generator_state():
+    c = new_cluster(make_cycle(8))
+    grow(c, np.random.default_rng(40), particles=40)
+    rng = np.random.default_rng(41)
+    states, outcomes = [], []
+    for _ in range(20):
+        states.append(copy.deepcopy(rng))
+        outcomes.append(probe_particle(c, rng))
+    assert [probe_particle(c, state) for state in states] == outcomes
 
 
 def test_stick_log_determinism():
@@ -304,7 +316,7 @@ def test_negative_control_law_exact(loops):
     c = negative_control_cluster(g)
     assert c.vertical_loops == loops and c.graph.d == d - loops
     assert all(v not in row for v, row in enumerate(c.graph.neighbors))
-    table = c._draw_source(np.random.default_rng(0)).table
+    table = c.slot_table
     counts = Counter(int(s) for s in table)
     prob = {s: Fraction(k, table.size) for s, k in counts.items()}
     assert prob[0] == prob[1] == Fraction(2 + loops, 2 * (d + 2))

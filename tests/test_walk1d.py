@@ -151,10 +151,42 @@ def test_first_passage_tail_matches_ballot():
     assert first_passage_tail(0) == 1.0
     for k in range(1, 11):
         assert first_passage_tail(k) == pytest.approx(float(ballot_probability(k)), rel=1e-12)
-    # log-gamma branch agrees with the recurrence branch at the seam
+    # the table's recurrence holds at its last entry
     assert first_passage_tail(64) == pytest.approx(
         first_passage_tail(63) * 127 / 128, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("k", [65, 66, 100, 1_000, 12_345, 10**5])
+def test_first_passage_tail_exact_beyond_table(k):
+    exact = float(Fraction(math.comb(2 * k, k), 4**k))
+    assert first_passage_tail(k) == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+
+def test_first_passage_tail_monotone_and_finite_to_1e18():
+    ks = sorted({int(k) for k in np.geomspace(64, 1e18, 2_000)})
+    tails = [first_passage_tail(k) for k in ks]
+    assert all(math.isfinite(t) and t > 0.0 for t in tails)
+    assert all(a > b for a, b in zip(tails, tails[1:]))
+    assert first_passage_tail(10**18) == pytest.approx(1 / math.sqrt(math.pi * 1e18), rel=1e-15)
+
+
+class _FixedUniform:
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("u", [0.5, 1e-3, 1e-9, 1e-12, 2.0**-53])
+def test_first_passage_sampler_inverts_extreme_uniforms(u):
+    rho = sample_first_passage_moves(_FixedUniform(u))
+    j = (rho - 1) // 2
+    assert rho % 2 == 1
+    assert first_passage_tail(j) >= u > first_passage_tail(j + 1)
+    if u <= 1e-9:  # deep in the tail, P(rho > 2k) = 1/sqrt(pi k) to ~1/(8k)
+        assert j == pytest.approx(1.0 / (math.pi * u * u), rel=1e-9, abs=0.0)
 
 
 def test_first_passage_sampler_distribution():
