@@ -2,9 +2,9 @@
 
 Every run echoes its fully resolved configuration to stderr as a single
 ``# config: {...}`` line.  Exit codes: 0 success, 1 verification failure,
-2 configuration error, 3 step-cap abort.  The environment variable
-``CYLDLA_SEED`` supplies the default seed.  All numeric output uses '.' as
-the decimal separator regardless of locale.
+2 configuration error, 3 sampling abort (step cap or sampler range).  The
+environment variable ``CYLDLA_SEED`` supplies the default seed.  All numeric
+output uses '.' as the decimal separator regardless of locale.
 """
 from __future__ import annotations
 
@@ -14,7 +14,12 @@ import os
 import sys
 
 from . import dla, render, verify
-from .cylinder import DEFAULT_EXCURSION_CAP, DEFAULT_START_OFFSET, long_excursion_frequency
+from .cylinder import (
+    DEFAULT_EXCURSION_CAP,
+    DEFAULT_START_OFFSET,
+    SamplingRangeError,
+    long_excursion_frequency,
+)
 from .dla import CapExceededError
 from .experiment import (
     ExperimentConfig,
@@ -287,6 +292,9 @@ def main(argv=None) -> int:
         return code
     except CapExceededError as exc:
         print(f"error: step cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except SamplingRangeError as exc:
+        print(f"error: sampling range exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ it is built from and checked against:
   cannot afford to step through it.  :func:`sample_excursion_shape` draws the
   (vertical moves, same-layer moves) pair of one excursion from its exact
   joint law, and :class:`GTransitionSampler` advances the base coordinate by
-  an arbitrary number of same-layer moves in one shot via the spectral
-  decomposition of the base walk;
+  an arbitrary number gamma of same-layer moves in one shot, by one of three
+  exact routes: slot counts on lattice bases, literal hops up to a TV cut and
+  then a uniform draw on other non-bipartite bases, and an eigenvector row of
+  P^gamma on other bipartite bases;
 * a vectorized skeleton simulation of independent excursions
   (:func:`long_excursion_frequency`), an independent route to the same
   excursion law.
@@ -43,16 +45,25 @@ _DIRECT_HOP_LIMIT = 64
 # --- exact excursion-shape sampling ------------------------------------------
 
 
+class SamplingRangeError(RuntimeError):
+    """An exact draw is beyond the numeric range of its sampler."""
+
+
 def sample_negative_binomial(rng: np.random.Generator, successes: int, p: float) -> int:
     """Failures before the given number of successes, drawn exactly.
 
     numpy's Poisson-Gamma sampler takes counts up to about 9.2e18 at p = 1/2
-    (3.7e18 at p = 2/7); beyond that its ValueError is a hard error, never an
-    approximation.
+    (3.7e18 at p = 2/7); beyond that the draw aborts with
+    :class:`SamplingRangeError`, never an approximation.
     """
     if successes <= 0:
         return 0
-    return int(rng.negative_binomial(successes, p))
+    try:
+        return int(rng.negative_binomial(successes, p))
+    except ValueError as exc:
+        raise SamplingRangeError(
+            f"negative binomial with {successes} successes at p={p:g} is beyond numpy's range"
+        ) from exc
 
 
 def sample_excursion_shape(rng: np.random.Generator, vertical_prob: float) -> tuple[int, int, int]:
@@ -73,43 +84,70 @@ def sample_excursion_shape(rng: np.random.Generator, vertical_prob: float) -> tu
 class GTransitionSampler:
     """Exact sampling of the base coordinate after many same-layer moves.
 
-    Reads the graph's cached eigendecomposition of the slot walk P = A/d
-    (``g.walk_spectrum``), so every sampler on one graph shares it: the
-    distribution after ``gamma`` moves from vertex ``g`` is the g-th row of
-    P^gamma.  Short runs are stepped literally; once the power is within
-    1e-14 of its limit (and the base is not bipartite) a uniform draw is
-    substituted.  Bipartite bases keep the full eigenvector route, which
-    preserves parity exactly.
+    The base coordinate after ``gamma`` uniform slot moves from ``g`` has the
+    law of row g of P^gamma, P = A/d.  One of three exact routes draws it:
+
+    * lattice bases (``g.lattice`` set: cycle, torus, hypercube) draw how
+      often each slot was taken, one multinomial over the d slots, and add
+      the net displacement to the coordinates mod the sides.  The moves
+      commute, so this is the law at every gamma, parity included, and the
+      graph's spectrum is never read;
+    * other non-bipartite bases step literally below ``uniform_cut`` and
+      draw a uniform vertex from there on.  ``uniform_cut`` is the least
+      gamma with 1/2 sqrt(n) lambda^gamma <= 1e-14, a bound on the total
+      variation distance of the row from uniform, where lambda is the
+      largest |eigenvalue| of P other than 1;
+    * other bipartite bases step literally up to ``_DIRECT_HOP_LIMIT`` moves
+      and beyond take one eigenvector row of P^gamma from the graph's cached
+      decomposition (``g.walk_spectrum``), which keeps parity.
     """
 
     def __init__(self, g: RegularGraph):
         self.graph = g
         self._nbrs = g.neighbors
+        self.uniform_cut: int | None = None
+        self._lattice_dims = None
+        if g.lattice is not None:
+            sides, steps = g.lattice
+            self._slot_probs = np.full(g.d, 1.0 / g.d)
+            dims, stride = [], 1
+            for k, side in enumerate(sides):
+                terms = tuple((s, step[k]) for s, step in enumerate(steps) if step[k])
+                dims.append((stride, side, terms))
+                stride *= side
+            self._lattice_dims = tuple(dims)
+            return
         w, u = g.walk_spectrum
         self._w = w
         self._u = u
         others = np.abs(w[:-1])
-        self._lam = float(others.max()) if others.size else 0.0
-        self._log_lam = math.log(self._lam) if 0.0 < self._lam < 1.0 else None
-        self._bipartite_like = bipartite_like(w[0])
+        lam = float(others.max()) if others.size else 0.0
+        if not bipartite_like(w[0]) and lam < 1.0:
+            self.uniform_cut = 1 if lam == 0.0 else math.ceil(
+                (math.log(_UNIFORM_TV_CUT) - math.log(0.5 * math.sqrt(g.n))) / math.log(lam)
+            )
 
     def sample(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         if gamma <= 0:
             return g_start
-        if gamma <= _DIRECT_HOP_LIMIT:
-            pos = g_start
-            nbrs = self._nbrs
-            d = self.graph.d
-            for s in rng.integers(0, d, size=gamma):
-                pos = nbrs[pos][s]
-            return int(pos)
-        if not self._bipartite_like:
-            if self._lam == 0.0 or (
-                self._log_lam is not None
-                and gamma * self._log_lam < math.log(_UNIFORM_TV_CUT)
-            ):
-                return int(rng.integers(0, self.graph.n))
-        return self._sample_eigen(g_start, gamma, rng)
+        if self._lattice_dims is not None:
+            # Python ints: counts near 9.2e18 must not overflow
+            counts = rng.multinomial(gamma, self._slot_probs).tolist()
+            v = 0
+            for stride, side, terms in self._lattice_dims:
+                c = g_start // stride + sum(counts[s] * step for s, step in terms)
+                v += c % side * stride
+            return v
+        cut = self.uniform_cut
+        if cut is not None and gamma >= cut:
+            return int(rng.integers(0, self.graph.n))
+        if cut is None and gamma > _DIRECT_HOP_LIMIT:
+            return self._sample_eigen(g_start, gamma, rng)
+        pos = g_start
+        nbrs = self._nbrs
+        for s in rng.integers(0, self.graph.d, size=gamma).tolist():
+            pos = nbrs[pos][s]
+        return pos
 
     def _sample_eigen(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         w = self._w

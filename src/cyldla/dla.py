@@ -9,11 +9,11 @@ No boundary vertex exists strictly above layer M, so the walk cannot stick
 during an excursion above M.  Those excursions are therefore not stepped
 through (their length has infinite mean); instead their exact shape is drawn
 via :func:`cyldla.cylinder.sample_excursion_shape` and the base coordinate is
-advanced in one shot through the spectral transition sampler.  The step
-count kappa still reports the full walk length, including fast-forwarded
-steps.  The step cap applies to literally simulated steps; a cap hit aborts
-the drop with a hard error rather than resampling, which would bias the
-sticking distribution.
+advanced in one shot through the exact base kernel
+:class:`cyldla.cylinder.GTransitionSampler`.  The step count kappa still
+reports the full walk length, including fast-forwarded steps.  The step cap
+applies to literally simulated steps; a cap hit aborts the drop with a hard
+error rather than resampling, which would bias the sticking distribution.
 """
 from __future__ import annotations
 
@@ -524,7 +524,14 @@ def save_snapshot(cluster: Cluster, path) -> None:
 
 
 def load_snapshot(path) -> SnapshotData:
-    """Read a snapshot file; a malformed header or entry raises ValueError."""
+    """Read a snapshot file; a malformed header or entry raises ValueError.
+
+    A snapshot names no base graph, so only the part of the sticking rule
+    that holds on every base is checked here: in stick order, each stick
+    lands on a free vertex at a layer >= 1, next to an occupied vertex in
+    its column or on a layer that already holds a particle.
+    :func:`cluster_from_snapshot` checks the full rule on the graph.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith(SNAPSHOT_MAGIC):
@@ -546,6 +553,17 @@ def load_snapshot(path) -> SnapshotData:
         if not 0 <= vertex < n or layer < 0:
             raise ValueError(f"snapshot line {lineno} is outside n={n} x layers >= 0: {line!r}")
         entries.append((layer, vertex, order))
+    occupied = {(0, v) for v in range(n)}
+    layer_loads = Counter({0: n})
+    for layer, vertex, order in sorted((e for e in entries if e[2] > 0), key=lambda e: e[2]):
+        column = (layer - 1, vertex) in occupied or (layer + 1, vertex) in occupied
+        if (layer, vertex) in occupied or not (column or layer_loads[layer]):
+            raise ValueError(
+                f"snapshot stick {order} at layer {layer}, vertex {vertex} "
+                "does not touch the cluster before it"
+            )
+        occupied.add((layer, vertex))
+        layer_loads[layer] += 1
     return SnapshotData(*header, tuple(entries))
 
 
@@ -559,8 +577,11 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
     for layer, vertex, order in replay:
         if order != cluster.t + 1:
             raise ValueError("snapshot stick orders are not consecutive")
-        if layer > cluster.M:
-            raise ValueError("snapshot stick order skips layers")
+        if not is_boundary(cluster, (vertex, layer)):
+            raise ValueError(
+                f"snapshot stick {order} at layer {layer}, vertex {vertex} "
+                "is not on the boundary of the cluster before it"
+            )
         _commit(cluster, vertex, layer)
     if cluster.M != snap.M or cluster.t != snap.t:
         raise ValueError("snapshot header disagrees with its entries")

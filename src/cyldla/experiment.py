@@ -22,7 +22,7 @@ from .graphs import RegularGraph, parse_graph_spec
 from .spectral import check_fast_mixing, compute_profile, eigen_profile
 from .stats import BoundCheck, EstimateSummary, make_bound_check
 
-CSV_MAGIC = "cyldla v2"
+CSV_MAGIC = "cyldla v3"
 
 
 def replica_rng(base_seed: int, index: int) -> np.random.Generator:

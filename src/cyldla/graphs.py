@@ -26,6 +26,11 @@ class RegularGraph:
     ``neighbors[v]`` has exactly ``d`` entries; an entry equal to ``v``
     represents one self loop.  Instances are safe to share across threads;
     :attr:`walk_spectrum` is computed on first use and cached on the instance.
+
+    ``lattice`` is ``(sides, slot_steps)`` for a Cayley graph of a product
+    of cyclic groups (cycle, torus, hypercube), else None.  Vertex v has the
+    mixed-radix coordinates c_k with v = sum_k c_k * prod_{j<k} sides[j],
+    and neighbor slot s adds ``slot_steps[s]`` to them, mod ``sides``.
     """
 
     n: int
@@ -33,6 +38,7 @@ class RegularGraph:
     neighbors: tuple[tuple[int, ...], ...]
     label: str
     transitive_hint: bool = False
+    lattice: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense adjacency with multiplicity (loops add 1 to the diagonal)."""
@@ -86,7 +92,9 @@ def make_cycle(n: int) -> RegularGraph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3 to stay simple, got {n}")
     nbrs = tuple(((i - 1) % n, (i + 1) % n) for i in range(n))
-    return RegularGraph(n, 2, nbrs, f"cycle:{n}", transitive_hint=True)
+    return RegularGraph(
+        n, 2, nbrs, f"cycle:{n}", transitive_hint=True, lattice=((n,), ((-1,), (1,)))
+    )
 
 
 def make_torus(side: int, dim: int) -> RegularGraph:
@@ -108,7 +116,13 @@ def make_torus(side: int, dim: int) -> RegularGraph:
                 row.append(sum(c[j] * strides[j] for j in range(dim)))
         nbrs.append(tuple(row))
     spec = "x".join(str(side) for _ in range(dim))
-    return RegularGraph(n, 2 * dim, tuple(nbrs), f"torus:{spec}", transitive_hint=True)
+    steps = tuple(
+        tuple(delta if j == k else 0 for j in range(dim)) for k in range(dim) for delta in (-1, 1)
+    )
+    return RegularGraph(
+        n, 2 * dim, tuple(nbrs), f"torus:{spec}", transitive_hint=True,
+        lattice=((side,) * dim, steps),
+    )
 
 
 def make_complete(n: int) -> RegularGraph:
@@ -125,7 +139,10 @@ def make_hypercube(dim: int) -> RegularGraph:
         raise ValueError(f"hypercube needs dim >= 2, got {dim}")
     n = 2**dim
     nbrs = tuple(tuple(v ^ (1 << b) for b in range(dim)) for v in range(n))
-    return RegularGraph(n, dim, nbrs, f"hypercube:{dim}", transitive_hint=True)
+    steps = tuple(tuple(int(j == b) for j in range(dim)) for b in range(dim))
+    return RegularGraph(
+        n, dim, nbrs, f"hypercube:{dim}", transitive_hint=True, lattice=((2,) * dim, steps)
+    )
 
 
 def make_random_regular(

@@ -90,7 +90,7 @@ def test_simulate_writes_schema_a(tmp_path, capsys):
     )
     assert code == 0
     growth = (tmp_path / "growth.csv").read_text().splitlines()
-    assert growth[0].startswith("# cyldla v2 config_hash=")
+    assert growth[0].startswith("# cyldla v3 config_hash=")
     assert growth[1] == "replica,m,T_m"
     assert len(growth) == 2 + 20 * 10
     first = growth[2].split(",")
@@ -174,6 +174,11 @@ SNAPSHOT_FLOOR = "0 0 0\n0 1 0\n0 2 0\n"
         "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 7 1\n",
         "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 -1 1\n",
         "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "-1 1 1\n",
+        # sticks that no walk can place: a duplicate, a floating particle
+        # above an empty column, and a stick on the full floor layer
+        "cyldla v1 n=3 d=2 t=2 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n1 1 2\n",
+        "cyldla v1 n=4 d=2 t=2 M=3\n" + SNAPSHOT_FLOOR + "0 3 0\n1 0 1\n2 2 2\n",
+        "cyldla v1 n=3 d=2 t=1 M=1\n" + SNAPSHOT_FLOOR + "0 1 1\n",
     ],
 )
 def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys, text):
@@ -219,3 +224,12 @@ def test_simulate_determinism(tmp_path, capsys):
     assert code_a == code_b == 0
     for name in ("growth.csv", "density.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_negative_binomial_range_error_is_a_sampling_abort(monkeypatch, capsys):
+    from cyldla import cylinder
+
+    monkeypatch.setattr(cylinder, "sample_first_passage_moves", lambda rng: 10**19)
+    code, _, err = run_cli(capsys, "simulate", "cycle:6", "--layers", "4", "--replicas", "1")
+    assert code == 3
+    assert err.splitlines()[-1].startswith("error: sampling range exceeded: negative binomial")

@@ -6,6 +6,7 @@ import pytest
 
 from cyldla.cylinder import (
     GTransitionSampler,
+    SamplingRangeError,
     long_excursion_frequency,
     long_excursion_probability_bound,
     sample_excursion_shape,
@@ -13,7 +14,8 @@ from cyldla.cylinder import (
     slot_table,
     walk_slots,
 )
-from cyldla.graphs import make_cycle
+from cyldla.dla import negative_control_cluster
+from cyldla.graphs import add_self_loops, make_cycle, parse_graph_spec
 from cyldla.stats import chi_square_two_sample
 
 
@@ -64,6 +66,96 @@ def test_transition_sampler_huge_exponent():
     assert np.abs(counts - 0.2).max() < 0.05
 
 
+def _base(spec):
+    if spec == "cycle:6+loops-stripped":
+        # bipartite and without a lattice: the eigenvector route
+        return negative_control_cluster(add_self_loops(make_cycle(6))).graph
+    return parse_graph_spec(spec)
+
+
+EXACT_LAW_BASES = (
+    "cycle:8", "cycle:9", "torus:4x4", "torus:3x3x3", "hypercube:4",
+    "random:12:3:seed=2", "complete:5", "cycle:6+loops-stripped",
+)
+
+
+@pytest.mark.parametrize("gamma", [1, 7, 100, 1001, 10**6])
+@pytest.mark.parametrize("spec", EXACT_LAW_BASES)
+def test_transition_sampler_exact_law_on_every_route(spec, gamma):
+    g = _base(spec)
+    kernel = GTransitionSampler(g)
+    start = g.n // 3
+    expected = np.linalg.matrix_power(g.transition_matrix(), gamma)[start]
+    rng = np.random.default_rng(gamma % 1009 + 17 * g.n)
+    trials = 20_000
+    counts = np.bincount([kernel.sample(start, gamma, rng) for _ in range(trials)], minlength=g.n)
+    tv = 0.5 * np.abs(counts / trials - expected).sum()
+    # expected TV of an exact sampler: 1/2 sum_j E|p_hat_j - p_j|
+    noise = 0.5 * np.sqrt(2 * expected * (1 - expected) / (np.pi * trials)).sum()
+    assert tv <= 3 * noise, f"{spec} gamma={gamma}: tv={tv:.4f}, noise={noise:.4f}"
+
+
+def _coordinate_sum(v, sides):
+    total = 0
+    for side in sides:
+        v, c = divmod(v, side)
+        total += c
+    return total
+
+
+def test_lattice_draws_keep_parity_at_huge_gamma():
+    rng = np.random.default_rng(41)
+    for spec in ("cycle:8", "torus:4x4", "hypercube:4", "cycle:9", "torus:3x3x3"):
+        g = parse_graph_spec(spec)
+        sides, _ = g.lattice
+        kernel = GTransitionSampler(g)
+        for gamma in (9 * 10**18, 9 * 10**18 + 1):
+            for _ in range(50):
+                v = kernel.sample(5, gamma, rng)
+                assert isinstance(v, int) and 0 <= v < g.n
+                if all(side % 2 == 0 for side in sides):
+                    assert (_coordinate_sum(v, sides) - _coordinate_sum(5, sides) - gamma) % 2 == 0
+    assert "walk_spectrum" not in g.__dict__
+
+
+def test_lattice_sampler_never_reads_the_spectrum():
+    for spec in ("cycle:500", "torus:5x5x5", "hypercube:6"):
+        g = parse_graph_spec(spec)
+        kernel = GTransitionSampler(g)
+        rng = np.random.default_rng(2)
+        for gamma in (1, 64, 65, 10**4, 10**15):
+            kernel.sample(0, gamma, rng)
+        assert "walk_spectrum" not in g.__dict__, spec
+
+
+def test_uniform_cut_is_a_total_variation_bound():
+    g = parse_graph_spec("random:40:3:seed=2")
+    kernel = GTransitionSampler(g)
+    w, _ = g.walk_spectrum
+    lam = float(np.abs(w[:-1]).max())
+    cut = kernel.uniform_cut
+    assert cut == 393
+    assert 0.5 * math.sqrt(g.n) * lam**cut <= 1e-14 < 0.5 * math.sqrt(g.n) * lam ** (cut - 1)
+    rows = np.linalg.matrix_power(g.transition_matrix(), cut)
+    assert 0.5 * np.abs(rows - 1 / g.n).sum(axis=1).max() <= 1e-13
+    assert GTransitionSampler(parse_graph_spec("random:500:3:seed=1")).uniform_cut == 638
+
+
+def test_generic_routes_draw_hops_then_uniform():
+    g = parse_graph_spec("complete:5")
+    kernel = GTransitionSampler(g)
+    cut = kernel.uniform_cut
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    pos = 2
+    for s in ref.integers(0, g.d, size=cut - 1).tolist():
+        pos = g.neighbors[pos][s]
+    assert kernel.sample(2, cut - 1, rng) == pos
+    assert kernel.sample(2, cut, rng) == int(ref.integers(0, g.n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    stripped = _base("cycle:6+loops-stripped")
+    assert stripped.lattice is None and GTransitionSampler(stripped).uniform_cut is None
+
+
 def test_walk_slots_consumes_doubling_blocks():
     rng = np.random.default_rng(9)
     slots = walk_slots(rng, slot_table(2))
@@ -101,8 +193,9 @@ def test_walk_slots_maps_draws_through_table():
 def test_negative_binomial_is_exact_at_huge_counts(p):
     rng, twin = np.random.default_rng(31), np.random.default_rng(31)
     assert sample_negative_binomial(rng, 10**13, p) == int(twin.negative_binomial(10**13, p))
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplingRangeError) as err:
         sample_negative_binomial(rng, 10**19, p)
+    assert not isinstance(err.value, ValueError)  # not a configuration error
 
 
 def test_long_excursion_bound_value():

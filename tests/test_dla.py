@@ -156,7 +156,7 @@ def _wall_violations_reference(cluster):
 def test_wall_blocking_single_pass_matches_definition():
     c = new_cluster(make_complete(3))
     grow(c, np.random.default_rng(1), particles=400)
-    assert len(c.wall_times) == 6
+    assert len(c.wall_times) == 8
     assert wall_blocking_violations(c) == _wall_violations_reference(c) == []
     lowest, low_t = c.wall_times[0]
     highest = max(w for w, _ in c.wall_times)
@@ -377,6 +377,40 @@ def test_snapshot_rejects_corrupt_file(tmp_path):
     path = tmp_path / "bad.snap"
     path.write_text("not a snapshot\n")
     with pytest.raises(ValueError):
+        load_snapshot(path)
+
+
+def _floor(n):
+    return tuple((0, v, 0) for v in range(n))
+
+
+@pytest.mark.parametrize(
+    "n, t, M, sticks",
+    [
+        (3, 2, 2, ((1, 1, 1), (1, 1, 2))),  # duplicate entry
+        (4, 2, 3, ((1, 0, 1), (2, 2, 2))),  # floating above an empty column
+        (3, 1, 1, ((0, 1, 1),)),  # stick on the full floor layer
+        # touches its layer, so only the graph shows that (3, 2) is floating
+        (6, 3, 3, ((1, 0, 1), (2, 0, 2), (2, 3, 3))),
+    ],
+)
+def test_replay_requires_each_stick_on_the_boundary(n, t, M, sticks):
+    snap = dla.SnapshotData(n, 2, t, M, _floor(n) + sticks)
+    with pytest.raises(ValueError, match="not on the boundary"):
+        cluster_from_snapshot(snap, make_cycle(n))
+
+
+def test_snapshot_loader_checks_positions_without_a_graph(tmp_path):
+    # (3, 2) touches a particle of its layer on some 2-regular base, so only
+    # the replay on cycle:6 rejects it
+    path = tmp_path / "c.snap"
+    lines = ["cyldla v1 n=6 d=2 t=3 M=3"] + [f"0 {v} 0" for v in range(6)]
+    path.write_text("\n".join(lines + ["1 0 1", "2 0 2", "2 3 3"]) + "\n")
+    snap = load_snapshot(path)
+    with pytest.raises(ValueError, match="not on the boundary"):
+        cluster_from_snapshot(snap, make_cycle(6))
+    path.write_text("\n".join(lines + ["1 0 1", "2 3 2", "2 0 3"]) + "\n")
+    with pytest.raises(ValueError, match="does not touch the cluster"):
         load_snapshot(path)
 
 

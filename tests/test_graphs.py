@@ -166,3 +166,28 @@ def test_generators_always_validate_torus(side, dim):
 def test_loops_preserve_validation(n):
     g = add_self_loops(make_complete(n))
     assert validate(g).passed
+
+
+@pytest.mark.parametrize(
+    "g", [make_cycle(3), make_cycle(10), make_torus(3, 3), make_torus(4, 2), make_hypercube(4)],
+    ids=lambda g: g.label,
+)
+def test_lattice_descriptor_matches_neighbor_slots(g):
+    sides, steps = g.lattice
+    assert len(steps) == g.d and all(len(step) == len(sides) for step in steps)
+    strides = [1]
+    for side in sides[:-1]:
+        strides.append(strides[-1] * side)
+    for v in range(g.n):
+        coords = [v // stride % side for stride, side in zip(strides, sides)]
+        for s, step in enumerate(steps):
+            moved = [(c + dc) % side for c, dc, side in zip(coords, step, sides)]
+            assert sum(c * stride for c, stride in zip(moved, strides)) == g.neighbors[v][s]
+
+
+def test_only_lattice_constructors_set_a_lattice():
+    assert make_torus(5, 2).lattice == ((5, 5), ((-1, 0), (1, 0), (0, -1), (0, 1)))
+    assert make_hypercube(2).lattice == ((2, 2), ((1, 0), (0, 1)))
+    assert add_self_loops(make_cycle(6)).lattice is None
+    assert make_complete(5).lattice is None
+    assert make_random_regular(12, 3, seed=2).lattice is None

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyldla import experiment
-from cyldla.cylinder import GTransitionSampler
+from cyldla import dla, experiment
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
@@ -15,8 +14,10 @@ from cyldla.graphs import (
     parse_graph_spec,
 )
 from cyldla.spectral import (
+    DENSE_EIG_CUTOFF,
     avoidance_bound,
     avoidance_frequency,
+    bipartite_like,
     check_fast_mixing,
     compute_profile,
     count_constrained_paths,
@@ -79,7 +80,7 @@ def test_walk_spectrum_is_cached_and_read_only():
         u[0, 0] = 0.0
 
 
-def test_one_decomposition_per_graph(monkeypatch):
+def _count_eigen_calls(monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -93,6 +94,11 @@ def test_one_decomposition_per_graph(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+    return calls
+
+
+def test_one_decomposition_per_graph(monkeypatch):
+    calls = _count_eigen_calls(monkeypatch)
     g = parse_graph_spec("random:40:3:seed=1")
     config = experiment.ExperimentConfig(
         graph_spec=g.label, target_layers=(4,), replicas=5, base_seed=2, density_overshoot=2
@@ -102,6 +108,17 @@ def test_one_decomposition_per_graph(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 0}
     assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
     assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_no_dense_eigendecomposition_on_lattice_bases(monkeypatch):
+    calls = _count_eigen_calls(monkeypatch)
+    g = parse_graph_spec("torus:20x20x20")
+    assert g.n == 8000 > DENSE_EIG_CUTOFF
+    cluster = dla.new_cluster(g)
+    dla.grow(cluster, np.random.default_rng(4), particles=100)
+    assert cluster.t == 100 and cluster.M >= 3  # drops above layer 1 walk and fast-forward
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert "walk_spectrum" not in g.__dict__
 
 
 BIPARTITE_SPECS = (
@@ -116,7 +133,7 @@ def test_bipartite_bases_report_exact_unit_lambda(spec):
     g = parse_graph_spec(spec)
     prof = eigen_profile(g)
     assert prof.lam == 1.0 and prof.gap == 0.0
-    assert GTransitionSampler(g)._bipartite_like
+    assert bipartite_like(g.walk_spectrum[0][0])
 
 
 def _exact_lazy_mixing(g, cap):
