@@ -15,7 +15,7 @@ from .spectral import SpectralProfile, compute_profile, eigen_profile, mixing_ti
 from .dla import Cluster, drop_particle, grow, new_cluster, probe_particle
 from .experiment import ExperimentConfig, estimate_T, estimate_density, run_sweep
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 __all__ = [
     "Cluster",

@@ -9,8 +9,8 @@ hop returns immediately and forms its own one-step excursion.
 The cluster walker itself lives in :mod:`cyldla.dla`; this module holds what
 it is built from and checked against:
 
-* the walk law as a slot table, read one drop at a time through
-  :func:`walk_slots`;
+* the walk law as a slot table, read one drop at a time, block by block,
+  through :func:`walk_slots`;
 * exact-law machinery for the heavy-tailed part of the walk.  The vertical
   first-return time of an excursion has infinite mean, so bulk estimators
   cannot afford to step through it.  :func:`sample_excursion_shape` draws the
@@ -186,16 +186,18 @@ def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
 
 
 def walk_slots(rng: np.random.Generator, table: np.ndarray):
-    """Walker slots for one drop: raw draws from ``rng`` mapped through ``table``.
+    """Walker slots for one drop, as blocks of raw draws mapped through ``table``.
 
-    Raw draws are taken in blocks of 64, 128, ... up to 4,096, only when the
-    previous block is used up, so a drop that sticks early consumes few
-    numbers and a long one pays one generator call per 4,096 steps.  The
-    block sizes are part of the output stream.
+    Yields lists of 64, 128, ... up to 4,096 slots.  Each block is drawn from
+    ``rng`` only when the consumer asks for it, after the previous block is
+    used up, so a drop that sticks early consumes few numbers, a long one
+    pays one generator call per 4,096 steps, and draws the consumer makes
+    between blocks (excursion shapes, base kernel) interleave with the block
+    draws in a fixed order.  The block sizes are part of the output stream.
     """
     block = 64
     while True:
-        yield from table[rng.integers(0, table.size, size=block)].tolist()
+        yield table[rng.integers(0, table.size, size=block)].tolist()
         block = min(2 * block, 4096)
 
 

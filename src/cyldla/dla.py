@@ -3,7 +3,11 @@
 The cluster starts as a fully occupied bottom layer.  Each particle enters
 at the lowest empty layer M with a uniform base coordinate and walks until
 it first occupies a boundary vertex (checked before any step, so an entry
-that is already on the boundary sticks with zero steps).
+that is already on the boundary sticks with zero steps).  The cluster keeps
+a sticking map beside its occupancy, one byte per vertex that is set exactly
+when the vertex is occupied or has an occupied neighbour, so the walker
+decides "stuck?" with one read per step.  :func:`_commit` is the only code
+that writes either.
 
 No boundary vertex exists strictly above layer M, so the walk cannot stick
 during an excursion above M.  Those excursions are therefore not stepped
@@ -70,6 +74,10 @@ class Cluster:
     Layer 0 is always full.  ``loads[i]`` counts occupied vertices at layer
     i, ``M`` is the lowest empty layer, ``t`` the number of particles added,
     and ``stick_log`` records (t, vertex, layer) per particle.
+    ``near[z][g]`` is 1 exactly when (g, z) is occupied or has an occupied
+    neighbour: (g, z +- 1), or (u, z) for a non-loop base neighbour u.  A
+    free vertex with ``near`` set is a boundary vertex.  Both ``occ`` and
+    ``near`` hold M + 2 layers and are written only by :func:`_commit`.
     ``vertical_loops`` is zero for the fair walk; otherwise each vertex
     carries that many extra slots that resolve to a fair vertical move (see
     :func:`cyldla.cylinder.slot_table`, held as ``slot_table``).  A cluster
@@ -83,6 +91,7 @@ class Cluster:
         self.vertical_loops = vertical_loops
         self.slot_table = slot_table(graph.d, vertical_loops)
         self.occ: list[bytearray] = [bytearray([1] * graph.n), bytearray(graph.n), bytearray(graph.n)]
+        self.near: list[bytearray] = [bytearray([1] * graph.n), bytearray([1] * graph.n), bytearray(graph.n)]
         self.loads: list[int] = [graph.n, 0, 0]
         self.M = 1
         self.t = 0
@@ -104,6 +113,7 @@ class Cluster:
     def _ensure_capacity(self) -> None:
         while len(self.occ) < self.M + 2:
             self.occ.append(bytearray(self.graph.n))
+            self.near.append(bytearray(self.graph.n))
             self.loads.append(0)
 
 
@@ -160,63 +170,66 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
     Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
     Excursions above M are fast-forwarded exactly; everything at or below M
     is stepped literally.  The walk law comes from the cluster's slot table,
-    read through a fresh :func:`cyldla.cylinder.walk_slots` stream, so the
-    outcome depends only on the cluster and the state of ``rng``.
+    read block by block from a fresh :func:`cyldla.cylinder.walk_slots`
+    stream, so the outcome depends only on the cluster and the state of
+    ``rng``.  The sticking test reads ``cluster.near`` once per position.
+    The cap is checked before every slot is taken, so no block is drawn once
+    ``cap`` literal steps are spent.
     """
     nbrs = cluster.graph.neighbors
     occ = cluster.occ
+    near = cluster.near
     m_layer = cluster.M
-    slots = walk_slots(rng, cluster.slot_table)
     vert_prob = cluster.vertical_prob()
     kernel = cluster.kernel()
 
     g, z = g0, m_layer
-    kappa = 0
     literal = 0
+    fast_forwarded = 0  # sum of (total - 1) over excursions, so kappa = literal + this
     min_layer = m_layer
+    if near[z][g]:
+        return _stuck(occ, g, z, 0, min_layer, 0)
+    if cap <= 0:
+        raise _cap_exceeded(cap, 0, 0, min_layer)
+    for block in walk_slots(rng, cluster.slot_table):
+        for s in block:
+            literal += 1
+            if s >= 2:
+                g = nbrs[g][s - 2]
+            elif s == 0:
+                if z == m_layer:
+                    # excursion strictly above M: no boundary exists there, so
+                    # draw its exact shape instead of stepping through it
+                    _, gamma, total = sample_excursion_shape(rng, vert_prob)
+                    fast_forwarded += total - 1
+                    g = kernel.sample(g, gamma, rng)
+                else:
+                    z += 1
+            else:
+                if z == 0:
+                    raise RuntimeError("walk reached the floor layer without sticking")
+                z -= 1
+                if z < min_layer:
+                    min_layer = z
+            if near[z][g]:
+                return _stuck(occ, g, z, literal + fast_forwarded, min_layer, literal)
+            if literal >= cap:
+                raise _cap_exceeded(cap, literal, literal + fast_forwarded, min_layer)
 
-    while True:
-        # sticking check happens at the current position before any step
-        row = occ[z]
-        if row[g]:
-            raise RuntimeError("walk entered an occupied vertex; cluster state is corrupt")
-        stuck = (z > 0 and occ[z - 1][g]) or occ[z + 1][g]
-        if not stuck:
-            for u in nbrs[g]:
-                if u != g and row[u]:
-                    stuck = True
-                    break
-        if stuck:
-            return g, z, kappa, min_layer, literal
-        if literal >= cap:
-            raise CapExceededError(
-                f"drop exceeded {cap} literal steps (kappa={kappa}, min layer {min_layer})",
-                literal,
-                kappa,
-                min_layer,
-            )
-        s = next(slots)
-        literal += 1
-        if s >= 2:
-            kappa += 1
-            g = nbrs[g][s - 2]
-            continue
-        if s == 0 and z == m_layer:
-            # excursion strictly above M: no boundary exists there, so draw
-            # its exact shape instead of stepping through it
-            _, gamma, total = sample_excursion_shape(rng, vert_prob)
-            kappa += total
-            g = kernel.sample(g, gamma, rng)
-            continue
-        kappa += 1
-        if s == 0:
-            z += 1
-        else:
-            if z == 0:
-                raise RuntimeError("walk reached the floor layer without sticking")
-            z -= 1
-            if z < min_layer:
-                min_layer = z
+
+def _stuck(occ: list[bytearray], g: int, z: int, kappa: int, min_layer: int, literal: int):
+    if occ[z][g]:
+        raise RuntimeError("walk entered an occupied vertex; cluster state is corrupt")
+    return g, z, kappa, min_layer, literal
+
+
+def _cap_exceeded(cap: int, literal: int, kappa: int, min_layer: int) -> CapExceededError:
+    return CapExceededError(
+        f"drop exceeded {cap} literal steps (kappa={kappa}, min layer {min_layer})",
+        literal,
+        kappa,
+        min_layer,
+    )
 
 
 def probe_particle(
@@ -241,6 +254,14 @@ def drop_particle(
 def _commit(cluster: Cluster, g: int, h: int) -> None:
     cluster.t += 1
     cluster.occ[h][g] = 1
+    near = cluster.near
+    row = near[h]
+    row[g] = 1
+    near[h + 1][g] = 1
+    if h > 0:
+        near[h - 1][g] = 1
+    for u in cluster.graph.neighbors[g]:
+        row[u] = 1
     cluster.loads[h] += 1
     cluster.stick_log.append((cluster.t, g, h))
     if h == cluster.M:
@@ -417,7 +438,7 @@ def entry_layer_visit_set(graph: RegularGraph, trials: int, seed) -> VisitSetRes
     rng = np.random.default_rng(seed)
     d = graph.d
     nbrs = graph.neighbors
-    slots = walk_slots(rng, slot_table(d))
+    slots = itertools.chain.from_iterable(walk_slots(rng, slot_table(d)))
     sizes = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         g = int(rng.integers(0, graph.n))

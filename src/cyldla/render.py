@@ -38,12 +38,13 @@ def _ramp(order: int, total: int) -> tuple[int, int, int]:
     )
 
 
-def _ppm(width: int, height: int, pixel_at) -> bytes:
-    rows = bytearray()
-    for y in range(height):
-        for x in range(width):
-            rows.extend(pixel_at(x, y))
-    return b"P6\n%d %d\n255\n" % (width, height) + bytes(rows)
+def _ppm(width: int, height: int, layer_rows, scale: int) -> bytes:
+    """Binary pixmap from one row of pixel bytes per layer, top layer first.
+
+    Each row already repeats every cell's colour ``scale`` times across; it
+    is emitted ``scale`` times down.
+    """
+    return b"P6\n%d %d\n255\n" % (width, height) + b"".join(row * scale for row in layer_rows)
 
 
 def _svg(width: int, height: int, rects) -> bytes:
@@ -99,12 +100,12 @@ def _render_pixels(snap: SnapshotData, fmt: str, scale: int):
     for layer, vertex, order in snap.entries:
         grid[(vertex, layer)] = BASE_COLOR if order == 0 else _ramp(order, snap.t)
     if fmt == "ppm":
-        def pixel_at(x: int, y: int) -> tuple[int, int, int]:
-            vertex = x // scale
-            layer = layers - 1 - y // scale
-            return grid.get((vertex, layer), BACKGROUND)
-
-        return _ppm(width, height, pixel_at), width, height
+        background = bytes(BACKGROUND) * scale
+        cells = [[background] * snap.n for _ in range(layers)]
+        for (vertex, layer), color in grid.items():
+            cells[layer][vertex] = bytes(color) * scale
+        rows = [b"".join(row) for row in reversed(cells)]
+        return _ppm(width, height, rows, scale), width, height
     rects = [
         (vertex * scale, (layers - 1 - layer) * scale, scale, scale, color)
         for (vertex, layer), color in sorted(grid.items())
@@ -121,13 +122,12 @@ def _render_bars(snap: SnapshotData, fmt: str, scale: int):
     width, height = bar_width, layers * scale
     fills = [round(bar_width * load / snap.n) for load in loads]
     if fmt == "ppm":
-        def pixel_at(x: int, y: int) -> tuple[int, int, int]:
-            layer = layers - 1 - y // scale
-            if x < fills[layer]:
-                return BASE_COLOR if layer == 0 else BAR_COLOR
-            return BACKGROUND
-
-        return _ppm(width, height, pixel_at), width, height
+        rows = []
+        for layer in reversed(range(layers)):
+            fill = min(fills[layer], bar_width)
+            color = BASE_COLOR if layer == 0 else BAR_COLOR
+            rows.append(bytes(color) * fill + bytes(BACKGROUND) * (bar_width - fill))
+        return _ppm(width, height, rows, scale), width, height
     rects = [
         (0, (layers - 1 - layer) * scale, fills[layer], scale,
          BASE_COLOR if layer == 0 else BAR_COLOR)

@@ -160,11 +160,13 @@ def test_walk_slots_consumes_doubling_blocks():
     rng = np.random.default_rng(9)
     slots = walk_slots(rng, slot_table(2))
     ref = np.random.default_rng(9)
+    sizes = (64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096)
     expected = []
-    for block in (64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096):
+    for block in sizes:
         expected += ref.integers(0, 4, size=block).tolist()
-    got = [next(slots) for _ in range(len(expected))]
-    assert got == expected
+    blocks = [next(slots) for _ in sizes]
+    assert [len(b) for b in blocks] == list(sizes)
+    assert [s for b in blocks for s in b] == expected
     # nothing is drawn ahead of the block in use
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -174,7 +176,7 @@ def test_walk_slots_draws_lazily():
     before = rng.bit_generator.state
     slots = walk_slots(rng, slot_table(2))
     assert rng.bit_generator.state == before  # an unstarted stream draws nothing
-    next(slots)
+    assert len(next(slots)) == 64
     ref = np.random.default_rng(3)
     ref.integers(0, 4, size=64)
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -185,7 +187,7 @@ def test_walk_slots_maps_draws_through_table():
     slots = walk_slots(np.random.default_rng(12), table)
     ref = np.random.default_rng(12)
     raw = np.concatenate([ref.integers(0, table.size, size=block) for block in (64, 128)])
-    assert [next(slots) for _ in range(64 + 128)] == table[raw].tolist()
+    assert next(slots) + next(slots) == table[raw].tolist()
     assert set(table[raw].tolist()) == {0, 1, 2}
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from cyldla import dla
+from cyldla.cylinder import sample_excursion_shape, walk_slots
 from cyldla.dla import (
     CapExceededError,
     cluster_from_snapshot,
@@ -194,12 +196,57 @@ def test_probe_does_not_mutate():
     g = make_cycle(5)
     c = new_cluster(g)
     grow(c, np.random.default_rng(12), particles=30)
-    before = ([bytes(row) for row in c.occ], list(c.loads), c.M, c.t)
+    before = ([bytes(row) for row in c.occ], [bytes(row) for row in c.near], list(c.loads), c.M, c.t)
     rng = np.random.default_rng(13)
     for _ in range(200):
         probe_particle(c, rng)
-    after = ([bytes(row) for row in c.occ], list(c.loads), c.M, c.t)
+    after = ([bytes(row) for row in c.occ], [bytes(row) for row in c.near], list(c.loads), c.M, c.t)
     assert before == after
+
+
+def _assert_near_matches_definition(cluster):
+    assert len(cluster.near) == len(cluster.occ) == cluster.M + 2
+    for z in range(cluster.M + 2):
+        for g in range(cluster.graph.n):
+            expected = bool(cluster.occ[z][g] or is_boundary(cluster, (g, z)))
+            assert cluster.near[z][g] == expected, (g, z)
+
+
+@pytest.mark.parametrize(
+    "graph, particles",
+    [
+        (make_cycle(16), 150),
+        (make_torus(4, 3), 200),
+        (parse_graph_spec("random:40:3:seed=2"), 200),
+        (make_complete(5), 150),
+        (add_self_loops(make_cycle(6)), 80),
+    ],
+)
+def test_sticking_map_matches_definition_under_growth(graph, particles):
+    c = new_cluster(graph)
+    _assert_near_matches_definition(c)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        grow(c, rng, particles=particles // 4)
+        _assert_near_matches_definition(c)
+
+
+def test_sticking_map_matches_definition_on_every_constructor(tmp_path):
+    control = negative_control_cluster(add_self_loops(make_complete(4)))
+    grow(control, np.random.default_rng(32), particles=60)
+    _assert_near_matches_definition(control)
+    _assert_near_matches_definition(synthetic_cluster(make_torus(3, 2), layer=3, count=5))
+    g = make_cycle(16)
+    c = new_cluster(g)
+    grow(c, np.random.default_rng(33), particles=100)
+    save_snapshot(c, tmp_path / "c.snap")
+    replayed = cluster_from_snapshot(load_snapshot(tmp_path / "c.snap"), g)
+    assert replayed.near == c.near
+    _assert_near_matches_definition(replayed)
+    twin = copy.deepcopy(c)
+    grow(twin, np.random.default_rng(34), particles=100)
+    _assert_near_matches_definition(twin)
+    assert c.near == replayed.near  # the copy shares no rows with the original
 
 
 def test_first_hit_distribution_matches_oracle():
@@ -342,8 +389,76 @@ def test_cap_exceeded_is_hard_error():
     with pytest.raises(CapExceededError) as err:
         for _ in range(500):
             drop_particle(c, rng, cap=3)
-    assert err.value.literal_steps >= 3
+    assert err.value.literal_steps == 3
     assert err.value.kappa >= err.value.literal_steps - 1
+
+
+def _reference_walk(cluster, rng, steps=None):
+    """The walker written out one slot at a time, stopping after ``steps`` slots.
+
+    Sticking is read from :func:`is_boundary` and kappa is counted per step.
+    Returns (stuck, g, z, kappa, min_layer, literal).
+    """
+    nbrs = cluster.graph.neighbors
+    kernel = cluster.kernel()
+    m_layer = cluster.M
+    g, z = int(rng.integers(0, cluster.graph.n)), m_layer
+    slots = itertools.chain.from_iterable(walk_slots(rng, cluster.slot_table))
+    kappa = literal = 0
+    min_layer = m_layer
+    while not is_boundary(cluster, (g, z)):
+        if literal == steps:
+            return False, g, z, kappa, min_layer, literal
+        s = next(slots)
+        literal += 1
+        if s >= 2:
+            g = nbrs[g][s - 2]
+            kappa += 1
+        elif s == 0 and z == m_layer:
+            _, gamma, total = sample_excursion_shape(rng, cluster.vertical_prob())
+            kappa += total
+            g = kernel.sample(g, gamma, rng)
+        else:
+            z += 1 if s == 0 else -1
+            min_layer = min(min_layer, z)
+            kappa += 1
+    return True, g, z, kappa, min_layer, literal
+
+
+def test_cap_is_exact():
+    c = new_cluster(make_cycle(128))
+    grow(c, np.random.default_rng(35), particles=100)
+    seed = next(s for s in itertools.count() if _reference_walk(c, np.random.default_rng(s))[5] > 300)
+    _, g, z, kappa, min_layer, steps = _reference_walk(c, np.random.default_rng(seed))
+    out = probe_particle(c, np.random.default_rng(seed))
+    assert (out.stick_g, out.H, out.kappa, out.min_layer_visited) == (g, z, kappa, min_layer)
+    assert probe_particle(c, np.random.default_rng(seed), cap=steps) == out
+    for cap in (1, 63, 64, 65, 192, 193, steps - 1):
+        rng = np.random.default_rng(seed)
+        with pytest.raises(CapExceededError) as err:
+            probe_particle(c, rng, cap=cap)
+        ref = np.random.default_rng(seed)
+        stuck, _, _, kappa, min_layer, literal = _reference_walk(c, ref, cap)
+        assert not stuck and literal == cap
+        assert (err.value.literal_steps, err.value.kappa, err.value.min_layer) == (cap, kappa, min_layer)
+        # only the blocks the first ``cap`` slots needed were drawn
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_cap_zero_draws_nothing_after_the_entry():
+    c = new_cluster(make_cycle(16))
+    grow(c, np.random.default_rng(35), particles=150)
+    seed = next(s for s in itertools.count() if _reference_walk(c, np.random.default_rng(s))[5] > 0)
+    rng = np.random.default_rng(seed)
+    with pytest.raises(CapExceededError) as err:
+        probe_particle(c, rng, cap=0)
+    assert (err.value.literal_steps, err.value.kappa, err.value.min_layer) == (0, 0, c.M)
+    ref = np.random.default_rng(seed)
+    ref.integers(0, c.graph.n)  # the entry vertex only
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # an entry that sticks at once needs no step
+    fresh = new_cluster(make_cycle(16))
+    assert drop_particle(fresh, np.random.default_rng(seed), cap=0).kappa == 0
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cyldla import dla
-from cyldla.graphs import make_cycle, make_torus
-from cyldla.render import BACKGROUND, BASE_COLOR, render_snapshot
+from cyldla.graphs import make_cycle, make_torus, parse_graph_spec
+from cyldla.render import BACKGROUND, BAR_COLOR, BASE_COLOR, _ramp, render_snapshot
 
 
 def _snapshot(graph, particles, seed):
@@ -94,3 +94,47 @@ def test_render_rejects_bad_args():
         render_snapshot(snap, fmt="png")
     with pytest.raises(ValueError):
         render_snapshot(snap, style="dots")
+
+
+def _per_pixel_ppm(snap, style, scale):
+    # the pixmap written out one pixel at a time, straight from the entries
+    layers = max(layer for layer, _, _ in snap.entries) + 1
+    if style == "pixels":
+        grid = {
+            (vertex, layer): BASE_COLOR if order == 0 else _ramp(order, snap.t)
+            for layer, vertex, order in snap.entries
+        }
+        width = snap.n * scale
+
+        def pixel_at(x, y):
+            return grid.get((x // scale, layers - 1 - y // scale), BACKGROUND)
+
+    else:
+        loads = [0] * layers
+        for layer, _, _ in snap.entries:
+            loads[layer] += 1
+        width = 64 * scale
+        fills = [round(width * load / snap.n) for load in loads]
+
+        def pixel_at(x, y):
+            layer = layers - 1 - y // scale
+            if x < fills[layer]:
+                return BASE_COLOR if layer == 0 else BAR_COLOR
+            return BACKGROUND
+
+    height = layers * scale
+    pixels = bytearray()
+    for y in range(height):
+        for x in range(width):
+            pixels.extend(pixel_at(x, y))
+    return b"P6\n%d %d\n255\n" % (width, height) + bytes(pixels)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3])
+@pytest.mark.parametrize("spec, particles", [("cycle:16", 120), ("random:40:3:seed=2", 200)])
+def test_row_renderer_matches_per_pixel_reference(spec, particles, scale):
+    snap = _snapshot(parse_graph_spec(spec), particles, 5)
+    for style in ("pixels", "bars"):
+        res = render_snapshot(snap, style=style, scale=scale)
+        # pixels on a non-cycle base fall back to bars
+        assert res.data == _per_pixel_ppm(snap, res.style, scale)
