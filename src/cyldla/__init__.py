@@ -11,11 +11,11 @@ from .graphs import (
     parse_graph_spec,
     validate,
 )
-from .spectral import SpectralProfile, compute_profile, eigen_profile, mixing_time
+from .spectral import SpectralProfile, eigen_profile, mixing_time
 from .dla import Cluster, drop_particle, grow, new_cluster, probe_particle
 from .experiment import ExperimentConfig, estimate_T, estimate_density, run_sweep
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 __all__ = [
     "Cluster",
@@ -23,7 +23,6 @@ __all__ = [
     "RegularGraph",
     "SpectralProfile",
     "add_self_loops",
-    "compute_profile",
     "drop_particle",
     "eigen_profile",
     "estimate_T",

@@ -64,7 +64,6 @@ class GrowthStats:
     T_m: dict[int, int]
     wall_times: tuple[tuple[int, int], ...]
     kappa_histogram: Counter
-    final_loads: tuple[int, ...]
     particles: int
 
 
@@ -300,7 +299,6 @@ def grow(
         T_m=dict(cluster.first_reach),
         wall_times=tuple(cluster.wall_times),
         kappa_histogram=kappa_hist,
-        final_loads=tuple(cluster.loads),
         particles=cluster.t,
     )
 
@@ -387,12 +385,7 @@ class StickAboveResult:
 
 
 def stick_above_frequency(
-    graph: RegularGraph,
-    layer: int,
-    count: int,
-    trials: int,
-    seed,
-    cap: int = DEFAULT_STEP_CAP,
+    graph: RegularGraph, layer: int, count: int, trials: int, seed
 ) -> StickAboveResult:
     """Frequency of probes sticking above a layer holding ``count`` vertices.
 
@@ -406,7 +399,7 @@ def stick_above_frequency(
     cluster = synthetic_cluster(graph, layer, count)
     hits = 0
     for _ in range(trials):
-        out = probe_particle(cluster, rng, cap)
+        out = probe_particle(cluster, rng)
         if out.H >= layer + 1:
             hits += 1
     summary = EstimateSummary.from_bernoulli(hits, trials)
@@ -466,7 +459,6 @@ def collect_height_tuples(
     particles: int,
     trials: int,
     rng: np.random.Generator,
-    cap: int = DEFAULT_STEP_CAP,
     mutant: bool = False,
 ) -> Counter:
     """Counter of stick-height tuples over independent short processes.
@@ -477,7 +469,7 @@ def collect_height_tuples(
     counts: Counter = Counter()
     for _ in range(trials):
         cluster = fresh(graph)
-        counts[tuple(drop_particle(cluster, rng, cap).H for _ in range(particles))] += 1
+        counts[tuple(drop_particle(cluster, rng).H for _ in range(particles))] += 1
     return counts
 
 
@@ -491,30 +483,22 @@ class LoopEquivalenceReport:
 
 
 def loop_equivalence_check(
-    graph: RegularGraph,
-    particles: int,
-    trials: int,
-    seed: int,
-    cap: int = DEFAULT_STEP_CAP,
-    mutant: bool = False,
-    p_threshold: float = 0.01,
+    graph: RegularGraph, particles: int, trials: int, seed: int, mutant: bool = False
 ) -> LoopEquivalenceReport:
     """Two-sample test: growth on G versus on G with one loop per vertex.
 
     The loop-augmented side should be distributed identically to the plain
-    side.  With ``mutant=True`` the augmented side resolves loop slots into
-    fair vertical moves instead (:func:`negative_control_cluster`, a
-    deliberately broken law used as a negative control), which the test is
-    expected to detect.
+    side; the test passes when its p-value exceeds 0.01.  With
+    ``mutant=True`` the augmented side resolves loop slots into fair vertical
+    moves instead (:func:`negative_control_cluster`, a deliberately broken
+    law used as a negative control), which the test is expected to detect.
     """
     rng_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    counts_a = collect_height_tuples(graph, particles, trials, rng_a, cap)
-    counts_b = collect_height_tuples(
-        add_self_loops(graph), particles, trials, rng_b, cap, mutant=mutant
-    )
+    counts_a = collect_height_tuples(graph, particles, trials, rng_a)
+    counts_b = collect_height_tuples(add_self_loops(graph), particles, trials, rng_b, mutant=mutant)
     chi2 = chi_square_two_sample(counts_a, counts_b)
-    return LoopEquivalenceReport(chi2, chi2.p_value > p_threshold, trials, particles, mutant)
+    return LoopEquivalenceReport(chi2, chi2.p_value > 0.01, trials, particles, mutant)
 
 
 # --- snapshots ------------------------------------------------------------------

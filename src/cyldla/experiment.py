@@ -19,8 +19,8 @@ import numpy as np
 from . import dla
 from .dla import Cluster, GrowthStats
 from .graphs import RegularGraph, parse_graph_spec
-from .spectral import check_fast_mixing, compute_profile, eigen_profile
-from .stats import BoundCheck, EstimateSummary, make_bound_check
+from .spectral import check_fast_mixing, eigen_profile, mixing_time
+from .stats import BOUND_SIGMAS, BoundCheck, EstimateSummary, make_bound_check
 
 CSV_MAGIC = "cyldla v3"
 
@@ -214,7 +214,7 @@ class DensityResult:
     runs: tuple[ReplicaRun, ...]
 
 
-def estimate_density(config: ExperimentConfig, graph: RegularGraph | None = None) -> DensityResult:
+def estimate_density(config: ExperimentConfig) -> DensityResult:
     """Estimate D(m) after growing past m, with bounds and consistency checks.
 
     Every replica grows once to max(target) + overshoot; D(m) is then read
@@ -225,7 +225,7 @@ def estimate_density(config: ExperimentConfig, graph: RegularGraph | None = None
     D(m) against T_m/(m n) at first touch.  The per-particle leak bound
     past the overshoot is reported, never inverted.
     """
-    graph = graph or parse_graph_spec(config.graph_spec)
+    graph = parse_graph_spec(config.graph_spec)
     m_prime = max(config.target_layers) + config.overshoot()
     runs = run_replicas(graph, m_prime, config.replicas, config.base_seed, config.step_cap)
     gap = eigen_profile(graph).gap
@@ -281,11 +281,13 @@ def estimate_density(config: ExperimentConfig, graph: RegularGraph | None = None
 
 
 def _consistency_check(
-    name: str, left: EstimateSummary, right: EstimateSummary, sigmas: float = 3.0
+    name: str, left: EstimateSummary, right: EstimateSummary
 ) -> ConsistencyCheck:
     combined = math.sqrt(left.std_error**2 + right.std_error**2)
     diff = abs(left.mean - right.mean)
-    return ConsistencyCheck(name, left.mean, right.mean, combined, sigmas, diff <= sigmas * combined)
+    return ConsistencyCheck(
+        name, left.mean, right.mean, combined, BOUND_SIGMAS, diff <= BOUND_SIGMAS * combined
+    )
 
 
 @dataclass(frozen=True)
@@ -337,49 +339,6 @@ def estimate_new_layer_probability(
     return NewLayerResult(
         summary, check, boundary_top, boundary_top / graph.n**0.1, tuple(outcomes)
     )
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    mu: int
-    nu: float
-    kappa_threshold: float
-    kappa_small_fraction: EstimateSummary
-    regime: str
-
-
-def diagnostics(
-    graph: RegularGraph,
-    trials: int,
-    seed,
-    cluster: Cluster | None = None,
-    cap: int = dla.DEFAULT_STEP_CAP,
-) -> Diagnostics:
-    """Classify a cluster state by how quickly probe particles stick.
-
-    mu = floor(log n / (4 loglog n)) and nu = log n; the reported fraction
-    is the empirical probability that a probe sticks within mu^2/4 steps.
-    States split into a small-kappa regime (fraction >= 1/4) and a
-    many-steps regime.
-    """
-    n = graph.n
-    if n < 16:
-        raise ValueError("diagnostics need n >= 16")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    cluster = cluster if cluster is not None else dla.new_cluster(graph)
-    mu = math.floor(math.log(n) / (4.0 * math.log(math.log(n))))
-    nu = math.log(n)
-    threshold = mu * mu / 4.0
-    hits = 0
-    for _ in range(trials):
-        out = dla.probe_particle(cluster, rng, cap)
-        if out.kappa <= threshold:
-            hits += 1
-    fraction = EstimateSummary.from_bernoulli(hits, trials)
-    regime = "small-kappa" if fraction.mean >= 0.25 else "many-steps"
-    return Diagnostics(mu, nu, threshold, fraction, regime)
 
 
 @dataclass(frozen=True)
@@ -447,7 +406,7 @@ class DashboardRow:
     spec: str
     n: int
     d: int
-    mixing_time: int | str
+    mixing_time: int | None  # None: not mixed within 10,000 lazy steps
     fast_mixing: BoundCheck
     growth: GrowthResult
 
@@ -458,14 +417,7 @@ class DashboardResult:
     gamma_fit: GammaFit
 
 
-def bound_dashboard(
-    family_specs,
-    m: int,
-    replicas: int,
-    base_seed: int,
-    cap: int = dla.DEFAULT_STEP_CAP,
-    mixing_cap: int = 10_000,
-) -> DashboardResult:
+def bound_dashboard(family_specs, m: int, replicas: int, base_seed: int) -> DashboardResult:
     """Run the full bound dashboard over a graph family.
 
     Emits, per base: the mixing time, the fast-mixing hypothesis check with
@@ -475,9 +427,10 @@ def bound_dashboard(
     rows = []
     for i, spec in enumerate(family_specs):
         graph = parse_graph_spec(spec)
-        profile = compute_profile(graph, cap=mixing_cap)
-        fast = check_fast_mixing(profile) if isinstance(profile.mixing_time, int) else None
-        if fast is None:
+        t_mix = mixing_time(graph, 10_000)
+        if t_mix is not None:
+            fast = check_fast_mixing(graph.n, t_mix)
+        else:
             fast = BoundCheck(
                 "fast-mixing-hypothesis", math.nan, "<=", math.nan, 0.0,
                 "inconclusive-within-ci", "mixing-time search exceeded its cap",
@@ -487,13 +440,10 @@ def bound_dashboard(
             target_layers=tuple(range(1, m + 1)),
             replicas=replicas,
             base_seed=base_seed + i,
-            step_cap=cap,
             density_overshoot=1,  # growth-only run, the overshoot is unused
         )
         growth = estimate_T(config, graph)
-        rows.append(
-            DashboardRow(spec, graph.n, graph.d, profile.mixing_time, fast, growth)
-        )
+        rows.append(DashboardRow(spec, graph.n, graph.d, t_mix, fast, growth))
     ns = [row.n for row in rows]
     ys = [row.growth.per_layer[-1].summary.mean / m for row in rows]
     return DashboardResult(tuple(rows), fit_gamma(ns, ys))

@@ -145,14 +145,13 @@ def make_hypercube(dim: int) -> RegularGraph:
     )
 
 
-def make_random_regular(
-    n: int, d: int, seed: int, max_attempts: int = DEFAULT_PAIRING_ATTEMPTS
-) -> RegularGraph:
+def make_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     """Uniform-ish simple d-regular graph via the pairing model.
 
     Half-edge stubs are matched uniformly; matchings producing loops or
     multi-edges are rejected and resampled.  Deterministic given ``seed``.
-    Raises ``RuntimeError`` when ``max_attempts`` rejections are exhausted.
+    Raises ``RuntimeError`` when ``DEFAULT_PAIRING_ATTEMPTS`` rejections are
+    exhausted.
     """
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
@@ -162,7 +161,7 @@ def make_random_regular(
         raise ValueError(f"need d < n, got d={d}, n={n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_PAIRING_ATTEMPTS):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -180,7 +179,7 @@ def make_random_regular(
         if _connected(g):
             return g
     raise RuntimeError(
-        f"pairing-model sampling failed after {max_attempts} attempts (n={n}, d={d})"
+        f"pairing-model sampling failed after {DEFAULT_PAIRING_ATTEMPTS} attempts (n={n}, d={d})"
     )
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,6 @@ class SpectralProfile:
     ``lam`` is the largest absolute eigenvalue after removing one copy of
     the top eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0:
     a smallest eigenvalue within ``EIG_TOL`` of -1 counts as exactly -1.
-    ``mixing_time`` is None until computed, or the string sentinel
-    ``"exceeded-cap"`` when the search cap was hit.
     """
 
     n: int
@@ -31,17 +29,16 @@ class SpectralProfile:
     eigenvalues: tuple[float, ...]
     lam: float
     gap: float
-    mixing_time: int | str | None = None
 
 
-def eigen_profile(g: RegularGraph, dense_cutoff: int = DENSE_EIG_CUTOFF) -> SpectralProfile:
-    """Spectrum of P = A/d, read from ``g.walk_spectrum`` up to the cutoff.
+def eigen_profile(g: RegularGraph) -> SpectralProfile:
+    """Spectrum of P = A/d, read from ``g.walk_spectrum`` up to ``DENSE_EIG_CUTOFF``.
 
     Beyond the cutoff, the second eigenvalue is found by power iteration on
     the uniform-deflated matrix to tolerance 1e-9 and the eigenvalue list is
     truncated to the known extremes.
     """
-    if g.n <= dense_cutoff:
+    if g.n <= DENSE_EIG_CUTOFF:
         w = g.walk_spectrum[0][::-1]
         if abs(w[0] - 1.0) > EIG_TOL:
             raise RuntimeError(f"top eigenvalue {w[0]} differs from 1 beyond tolerance")
@@ -60,14 +57,14 @@ def bipartite_like(smallest_eigenvalue: float) -> bool:
     return bool(smallest_eigenvalue <= -1.0 + EIG_TOL)
 
 
-def _deflated_power_iteration(g: RegularGraph, tol: float = EIG_TOL, max_iter: int = 200_000) -> float:
+def _deflated_power_iteration(g: RegularGraph) -> float:
     nbrs = np.array(g.neighbors, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(0))
     v = rng.standard_normal(g.n)
     v -= v.mean()
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(200_000):
         w = np.add.reduce(v[nbrs], axis=1) / g.d
         w -= w.mean()
         norm = np.linalg.norm(w)
@@ -75,7 +72,7 @@ def _deflated_power_iteration(g: RegularGraph, tol: float = EIG_TOL, max_iter: i
             return 0.0
         w /= norm
         ray = float(w @ (np.add.reduce(w[nbrs], axis=1) / g.d))
-        if abs(ray - prev) < tol:
+        if abs(ray - prev) < EIG_TOL:
             return ray
         prev = ray
         v = w
@@ -114,13 +111,6 @@ def mixing_time(g: RegularGraph, cap: int) -> int | None:
     return None
 
 
-def compute_profile(g: RegularGraph, cap: int = 10_000) -> SpectralProfile:
-    """Eigen profile plus mixing time (string sentinel when cap exceeded)."""
-    prof = eigen_profile(g)
-    t = mixing_time(g, cap)
-    return replace(prof, mixing_time=t if t is not None else "exceeded-cap")
-
-
 def fast_mixing_threshold(n: int) -> float:
     """log^2(n) / (loglog n)^5, defined for n > e."""
     if n <= math.e:
@@ -128,22 +118,22 @@ def fast_mixing_threshold(n: int) -> float:
     return math.log(n) ** 2 / math.log(math.log(n)) ** 5
 
 
-def check_fast_mixing(profile: SpectralProfile) -> BoundCheck:
+def check_fast_mixing(n: int, mixing_time: int) -> BoundCheck:
     """Verdict on mixing_time <= log^2(n)/(loglog n)^5.
 
     This documents which bases meet the fast-mixing hypothesis used by the
     growth-rate dashboard; at desk scale most do not, and the verdict is
     informational.
     """
-    if not isinstance(profile.mixing_time, int):
-        raise ValueError("profile needs a finite computed mixing_time")
-    thr = fast_mixing_threshold(profile.n)
-    verdict = "pass" if profile.mixing_time <= thr else "fail"
+    if not isinstance(mixing_time, int):
+        raise ValueError(f"mixing_time must be a computed int, got {mixing_time!r}")
+    thr = fast_mixing_threshold(n)
+    verdict = "pass" if mixing_time <= thr else "fail"
     return BoundCheck(
         name="fast-mixing-hypothesis",
         bound_value=thr,
         direction="<=",
-        estimate=float(profile.mixing_time),
+        estimate=float(mixing_time),
         ci=0.0,
         verdict=verdict,
         applicability="asymptotic hypothesis; no finite-size calibration is claimed",

@@ -22,12 +22,12 @@ class EstimateSummary:
     cap_hits: int = 0
 
     @staticmethod
-    def from_samples(values, cap_hits: int = 0) -> "EstimateSummary":
+    def from_samples(values) -> "EstimateSummary":
         x = np.asarray(values, dtype=np.float64)
         if x.size == 0:
             raise ValueError("cannot summarize zero samples")
         se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-        return EstimateSummary(float(x.mean()), se, CI95_MULTIPLIER * se, int(x.size), cap_hits)
+        return EstimateSummary(float(x.mean()), se, CI95_MULTIPLIER * se, int(x.size))
 
     @staticmethod
     def from_bernoulli(successes: int, trials: int, cap_hits: int = 0) -> "EstimateSummary":
@@ -44,7 +44,7 @@ class BoundCheck:
 
     ``direction`` is the relation the estimate is expected to satisfy
     against ``bound_value`` ("<=" or ">=").  ``ci`` is the margin used for
-    the verdict (3 standard errors by default).  Verdicts:
+    the verdict (``BOUND_SIGMAS`` standard errors).  Verdicts:
 
     - ``pass``: the bound holds with margin > ci;
     - ``inconclusive-within-ci``: consistent with the bound at the margin;
@@ -72,13 +72,12 @@ def make_bound_check(
     bound_value: float,
     direction: str,
     summary: EstimateSummary,
-    sigmas: float = BOUND_SIGMAS,
     applicability: str | None = None,
 ) -> BoundCheck:
     if direction not in ("<=", ">="):
         raise ValueError(f"direction must be '<=' or '>=', got {direction!r}")
     est = summary.mean
-    ci = sigmas * summary.std_error
+    ci = BOUND_SIGMAS * summary.std_error
     if direction == "<=":
         if est + ci <= bound_value:
             verdict = "pass"
@@ -105,18 +104,18 @@ class Chi2Result:
     collapsed: bool
 
 
-def chi_square_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 5.0) -> Chi2Result:
+def chi_square_two_sample(counts_a: dict, counts_b: dict) -> Chi2Result:
     """Two-sample chi-square test on categorical counts.
 
-    Categories whose combined count is below ``2 * min_expected`` are merged
-    into a single rest bucket so every cell has a usable expectation; the
+    Categories whose combined count is below 10 are merged into a single
+    rest bucket so every cell has a usable expectation; the
     ``collapsed`` flag reports whether merging happened.
     """
     keys = sorted(set(counts_a) | set(counts_b), key=lambda k: (-(counts_a.get(k, 0) + counts_b.get(k, 0)), repr(k)))
     kept, rest_a, rest_b = [], 0, 0
     for k in keys:
         total = counts_a.get(k, 0) + counts_b.get(k, 0)
-        if total >= 2 * min_expected:
+        if total >= 10:
             kept.append(k)
         else:
             rest_a += counts_a.get(k, 0)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dla, walk1d
 from .cylinder import long_excursion_frequency
+from .experiment import estimate_new_layer_probability, replica_rng
 from .graphs import (
     make_complete,
     make_cycle,
@@ -38,10 +39,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _sub_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag,)))
 
 
 # --- walk1d suite ---------------------------------------------------------------
@@ -115,7 +112,7 @@ def _check_max_tail_exact() -> CheckResult:
 def _check_lazy_variance(seed: int) -> CheckResult:
     for tag, (alpha, m) in enumerate([(0.5, 100), (0.6, 64)]):
         params = walk1d.LazyWalkParams(alpha)
-        paths = walk1d.simulate_lazy_walks(params, m, 100_000, _sub_rng(seed, 10 + tag))
+        paths = walk1d.simulate_lazy_walks(params, m, 100_000, replica_rng(seed, 10 + tag))
         var = float(paths[:, -1].astype(np.float64).var())
         if abs(var - alpha * m) > 0.05 * alpha * m:
             return CheckResult(
@@ -133,7 +130,7 @@ def _check_zeros_constant(seed: int) -> CheckResult:
     for tag, n in enumerate((2, 4, 8)):
         steps = math.ceil(c * n * n)
         walks = 2000
-        paths = walk1d.simulate_lazy_walks(params, steps, walks, _sub_rng(seed, 20 + tag))
+        paths = walk1d.simulate_lazy_walks(params, steps, walks, replica_rng(seed, 20 + tag))
         few_zeros = int(((paths[:, 1:] == 0).sum(axis=1) < n).sum())
         summary = EstimateSummary.from_bernoulli(few_zeros, walks)
         if summary.mean - 3 * summary.std_error > eps:
@@ -149,7 +146,7 @@ def _check_first_passage_sampler(seed: int) -> CheckResult:
             walk1d.first_passage_tail(k), float(walk1d.ballot_probability(max(k, 1)) if k else 1.0)
         ):
             return CheckResult("first-passage-tail", False, f"tail mismatch at k={k}")
-    rng = _sub_rng(seed, 30)
+    rng = replica_rng(seed, 30)
     draws = np.array([walk1d.sample_first_passage_moves(rng) for _ in range(20_000)])
     for moves, prob in ((1, 0.5), (3, 0.125), (5, 0.0625)):
         est = EstimateSummary.from_bernoulli(int((draws == moves).sum()), draws.size)
@@ -162,8 +159,8 @@ def _check_first_passage_sampler(seed: int) -> CheckResult:
 
 def _check_simulation_determinism(seed: int) -> CheckResult:
     params = walk1d.LazyWalkParams(0.7)
-    a = walk1d.simulate_lazy_walk(params, 500, seed)
-    b = walk1d.simulate_lazy_walk(params, 500, seed)
+    a = walk1d.simulate_lazy_walks(params, 500, 1, seed)[0]
+    b = walk1d.simulate_lazy_walks(params, 500, 1, seed)[0]
     ok = bool(np.array_equal(a, b))
     return CheckResult("lazy-walk-determinism", ok, "same seed, same path")
 
@@ -263,14 +260,9 @@ def _check_mixing_monotone() -> CheckResult:
 
 def _check_avoidance_bound_values() -> CheckResult:
     k4 = eigen_profile(make_complete(4))
-    cases = [
-        (avoidance_bound(k4, [1.0, 1.0, 1.0]), 1.0),
-        (avoidance_bound(eigen_profile(make_complete(5)), [0.0]), None),
-        (avoidance_bound(k4, [0.5, 0.5]), math.exp(-1.0 / 3.0)),
-    ]
-    if abs(cases[0][0] - 1.0) > 1e-12:
+    if abs(avoidance_bound(k4, [1.0, 1.0, 1.0]) - 1.0) > 1e-12:
         return CheckResult("avoidance-bound-values", False, "all-ones case")
-    if abs(cases[2][0] - math.exp(-1.0 / 3.0)) > 1e-12:
+    if abs(avoidance_bound(k4, [0.5, 0.5]) - math.exp(-1.0 / 3.0)) > 1e-12:
         return CheckResult("avoidance-bound-values", False, "K4 half-sets case")
     return CheckResult("avoidance-bound-values", True, "plug-in values match")
 
@@ -289,9 +281,9 @@ def _check_path_counts() -> CheckResult:
     return CheckResult("path-count-hand-case", True, "K3 hand enumeration matches")
 
 
-def _random_set_families(g, rng, families: int, max_len: int = 5):
+def _random_set_families(g, rng, families: int):
     for _ in range(families):
-        t = int(rng.integers(1, max_len + 1))
+        t = int(rng.integers(1, 6))  # 1 to 5 sets
         yield [
             set(int(v) for v in rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False))
             for _ in range(t)
@@ -304,7 +296,7 @@ def _check_path_bound_random(seed: int) -> CheckResult:
         make_cycle(5),
         parse_graph_spec("random:10:3:seed=1"),
     ]
-    rng = _sub_rng(seed, 40)
+    rng = replica_rng(seed, 40)
     checked = 0
     for g in graphs_under_test:
         for sets in _random_set_families(g, rng, 20):
@@ -316,12 +308,12 @@ def _check_path_bound_random(seed: int) -> CheckResult:
 
 
 def _check_avoidance_monte_carlo(seed: int) -> CheckResult:
-    rng = _sub_rng(seed, 41)
+    rng = replica_rng(seed, 41)
     for g in (make_complete(4), make_cycle(5), make_torus(3, 2)):
         prof = eigen_profile(g)
         for i, sets in enumerate(_random_set_families(g, rng, 5)):
             bound = avoidance_bound(prof, [len(c) / g.n for c in sets])
-            freq = avoidance_frequency(g, sets, 4000, _sub_rng(seed, 100 + i))
+            freq = avoidance_frequency(g, sets, 4000, replica_rng(seed, 100 + i))
             if freq.mean - 3 * freq.std_error > bound:
                 return CheckResult(
                     "avoidance-monte-carlo",
@@ -355,7 +347,7 @@ def _check_first_particle() -> CheckResult:
         make_hypercube(3),
     ]
     for g in graphs_under_test:
-        rng = _sub_rng(0, 50)
+        rng = replica_rng(0, 50)
         for _ in range(200):
             cluster = dla.new_cluster(g)
             out = dla.drop_particle(cluster, rng)
@@ -369,7 +361,7 @@ def _check_first_particle() -> CheckResult:
 def _check_cluster_invariants(seed: int) -> CheckResult:
     g = make_cycle(5)
     cluster = dla.new_cluster(g)
-    dla.grow(cluster, _sub_rng(seed, 51), particles=300)
+    dla.grow(cluster, replica_rng(seed, 51), particles=300)
     if sum(cluster.loads) != g.n + cluster.t:
         return CheckResult("cluster-invariants", False, "mass conservation failed")
     if cluster.loads[0] != g.n:
@@ -390,7 +382,7 @@ def _check_cluster_invariants(seed: int) -> CheckResult:
 def _check_load_event_identity(seed: int) -> CheckResult:
     g = make_complete(4)
     cluster = dla.new_cluster(g)
-    dla.grow(cluster, _sub_rng(seed, 52), particles=200)
+    dla.grow(cluster, replica_rng(seed, 52), particles=200)
     loads_ge: dict[int, int] = {}
     for t, _, h in cluster.stick_log:
         for i in range(1, cluster.M + 1):
@@ -411,12 +403,12 @@ def _check_load_event_identity(seed: int) -> CheckResult:
 def _check_first_hit_oracle(seed: int) -> CheckResult:
     g = make_complete(3)
     cluster = dla.new_cluster(g)
-    dla.drop_particle(cluster, _sub_rng(seed, 53))
+    dla.drop_particle(cluster, replica_rng(seed, 53))
     oracle = first_hit_distribution(cluster, 40)
     oracle_hi = first_hit_distribution(cluster, 60)
     if total_variation(oracle, oracle_hi) > 1e-9:
         return CheckResult("first-hit-oracle", False, "truncation not converged")
-    rng = _sub_rng(seed, 54)
+    rng = replica_rng(seed, 54)
     trials = 20_000
     counts: dict[tuple[int, int], int] = {}
     for _ in range(trials):
@@ -429,10 +421,10 @@ def _check_first_hit_oracle(seed: int) -> CheckResult:
 
 def _check_stick_above(seed: int) -> CheckResult:
     g = make_complete(3)
-    res = dla.stick_above_frequency(g, layer=1, count=1, trials=3000, seed=_sub_rng(seed, 55))
+    res = dla.stick_above_frequency(g, layer=1, count=1, trials=3000, seed=replica_rng(seed, 55))
     if res.bound_check.violated:
         return CheckResult("stick-above-load-bound", False, f"freq {res.summary.mean:.3f}")
-    wall = dla.stick_above_frequency(g, layer=1, count=3, trials=200, seed=_sub_rng(seed, 56))
+    wall = dla.stick_above_frequency(g, layer=1, count=3, trials=200, seed=replica_rng(seed, 56))
     if wall.summary.mean != 1.0:
         return CheckResult("stick-above-load-bound", False, "wall case not certain")
     return CheckResult(
@@ -444,7 +436,7 @@ def _check_stick_above(seed: int) -> CheckResult:
 
 def _check_visit_set(seed: int) -> CheckResult:
     g = make_cycle(6)
-    res = dla.entry_layer_visit_set(g, trials=20_000, seed=_sub_rng(seed, 57))
+    res = dla.entry_layer_visit_set(g, trials=20_000, seed=replica_rng(seed, 57))
     if res.bound_check.violated:
         return CheckResult("entry-layer-visit-set", False, f"mean {res.mean_summary.mean:.3f}")
     gap = abs(res.single_visit.mean - res.single_visit_exact)
@@ -461,12 +453,10 @@ def _check_visit_set(seed: int) -> CheckResult:
 
 
 def _check_new_layer_probe(seed: int) -> CheckResult:
-    from .experiment import estimate_new_layer_probability
-
     g = make_complete(3)
     cluster = dla.new_cluster(g)
-    dla.drop_particle(cluster, _sub_rng(seed, 58))
-    res = estimate_new_layer_probability(g, 5000, _sub_rng(seed, 59), cluster=cluster)
+    dla.drop_particle(cluster, replica_rng(seed, 58))
+    res = estimate_new_layer_probability(g, 5000, replica_rng(seed, 59), cluster=cluster)
     ok = res.bound_check is not None and not res.bound_check.violated
     return CheckResult(
         "new-layer-probability-bound",
@@ -496,7 +486,7 @@ def _check_loop_equivalence(seed: int) -> CheckResult:
 
 def _check_excursion_bound(seed: int) -> CheckResult:
     g = make_cycle(6)
-    study = long_excursion_frequency(g, alpha=4.0, trials=20_000, seed=_sub_rng(seed, 61))
+    study = long_excursion_frequency(g, alpha=4.0, trials=20_000, seed=replica_rng(seed, 61))
     if study.bound_check.violated:
         return CheckResult(
             "long-excursion-bound", False, f"freq {study.positive_long.mean:.4f}"
@@ -510,13 +500,13 @@ def _check_excursion_bound(seed: int) -> CheckResult:
     )
 
 
-def _check_snapshot_roundtrip(seed: int, tmpdir: str | None = None) -> CheckResult:
+def _check_snapshot_roundtrip(seed: int) -> CheckResult:
     import os
     import tempfile
 
     g = make_cycle(5)
     cluster = dla.new_cluster(g)
-    dla.grow(cluster, _sub_rng(seed, 62), particles=120)
+    dla.grow(cluster, replica_rng(seed, 62), particles=120)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cluster.snap")
         dla.save_snapshot(cluster, path)
@@ -532,7 +522,7 @@ def _check_snapshot_roundtrip(seed: int, tmpdir: str | None = None) -> CheckResu
 def _check_wall_blocking(seed: int) -> CheckResult:
     g = make_complete(3)
     cluster = dla.new_cluster(g)
-    dla.grow(cluster, _sub_rng(seed, 63), particles=400)
+    dla.grow(cluster, replica_rng(seed, 63), particles=400)
     walls = dla.detect_walls(cluster)
     violations = dla.wall_blocking_violations(cluster)
     if violations:

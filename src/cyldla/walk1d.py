@@ -60,62 +60,32 @@ def _simple_paths(steps: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
-def _lazy_paths(steps: int) -> np.ndarray:
-    idx = np.arange(3**steps, dtype=np.int64)
-    digits = (idx[:, None] // (3 ** np.arange(steps))) % 3
-    return (digits - 1).astype(np.int8)
+def enumerate_paths(steps: int, event) -> Fraction:
+    """Exact probability of ``event`` for the simple +-1 walk, by enumeration.
 
-
-def enumerate_paths(steps: int, event, kind: str = "simple", alpha: float | None = None):
-    """Exact probability of ``event`` by exhaustive path enumeration.
-
-    ``event`` receives the partial-sum array of shape (num_paths, steps + 1)
-    including S(0) = 0 and must return a boolean mask.  The simple alphabet
-    (+-1, uniform) returns an exact ``Fraction``; the lazy alphabet
-    (-1/0/+1 with weights alpha/2, 1-alpha, alpha/2) returns a float.
-    Memory grows like 2^steps (simple) or 3^steps (lazy); the hard cap is
+    ``event`` receives the partial-sum array of shape (2^steps, steps + 1)
+    including S(0) = 0 and must return a boolean mask; the result is an
+    exact ``Fraction``.  Memory grows like 2^steps; the hard cap is
     ``steps <= 20``.
     """
     if not 0 <= steps <= MAX_ENUM_STEPS:
         raise ValueError(f"steps must be in [0, {MAX_ENUM_STEPS}], got {steps}")
-    if kind == "simple":
-        inc = _simple_paths(steps)
-        paths = np.concatenate(
-            [np.zeros((inc.shape[0], 1), dtype=np.int16), np.cumsum(inc, axis=1, dtype=np.int16)],
-            axis=1,
-        )
-        mask = np.asarray(event(paths), dtype=bool)
-        return Fraction(int(mask.sum()), 2**steps)
-    if kind == "lazy":
-        if alpha is None:
-            raise ValueError("lazy enumeration needs alpha")
-        LazyWalkParams(alpha)
-        inc = _lazy_paths(steps)
-        paths = np.concatenate(
-            [np.zeros((inc.shape[0], 1), dtype=np.int16), np.cumsum(inc, axis=1, dtype=np.int16)],
-            axis=1,
-        )
-        mask = np.asarray(event(paths), dtype=bool)
-        zeros = (inc == 0).sum(axis=1)
-        weights = (1.0 - alpha) ** zeros * (alpha / 2.0) ** (steps - zeros)
-        return float(weights[mask].sum())
-    raise ValueError(f"kind must be 'simple' or 'lazy', got {kind!r}")
-
-
-def simulate_lazy_walk(params: LazyWalkParams, steps: int, seed) -> np.ndarray:
-    """Reproducible lazy-walk path S(0..steps); ``seed`` may be a Generator."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    rng = np.random.default_rng(seed)
-    u = rng.random(steps)
-    inc = np.where(u < params.alpha / 2.0, 1, np.where(u < params.alpha, -1, 0))
-    path = np.zeros(steps + 1, dtype=np.int64)
-    np.cumsum(inc, out=path[1:])
-    return path
+    inc = _simple_paths(steps)
+    paths = np.concatenate(
+        [np.zeros((inc.shape[0], 1), dtype=np.int16), np.cumsum(inc, axis=1, dtype=np.int16)],
+        axis=1,
+    )
+    mask = np.asarray(event(paths), dtype=bool)
+    return Fraction(int(mask.sum()), 2**steps)
 
 
 def simulate_lazy_walks(params: LazyWalkParams, steps: int, walks: int, seed) -> np.ndarray:
-    """Vectorized batch of lazy-walk paths, shape (walks, steps + 1)."""
+    """Reproducible batch of lazy-walk paths S(0..steps), shape (walks, steps + 1).
+
+    ``seed`` may be a Generator.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     rng = np.random.default_rng(seed)
     u = rng.random((walks, steps))
     inc = np.where(u < params.alpha / 2.0, 1, np.where(u < params.alpha, -1, 0))

@@ -8,7 +8,6 @@ from cyldla import dla
 from cyldla.experiment import (
     ExperimentConfig,
     bound_dashboard,
-    diagnostics,
     estimate_T,
     estimate_density,
     estimate_new_layer_probability,
@@ -108,21 +107,6 @@ def test_new_layer_probability_after_one_particle():
     assert res.summary.mean >= res.bound_check.bound_value - 3 * res.summary.std_error
     assert res.boundary_top == 1
     assert res.descriptive_upper == pytest.approx(1 / 3**0.1)
-
-
-def test_diagnostics_values_and_regimes():
-    g = make_complete(16)
-    diag = diagnostics(g, trials=300, seed=7)
-    assert diag.mu == math.floor(math.log(16) / (4 * math.log(math.log(16))))
-    assert diag.mu == 0
-    assert diag.nu == pytest.approx(math.log(16))
-    # fresh state: entry is always boundary, kappa = 0 <= mu^2/4 = 0
-    assert diag.kappa_small_fraction.mean == 1.0 and diag.regime == "small-kappa"
-    wall = dla.synthetic_cluster(g, layer=3, count=16)
-    diag_wall = diagnostics(g, trials=200, seed=8, cluster=wall)
-    assert diag_wall.kappa_small_fraction.mean == 1.0
-    with pytest.raises(ValueError):
-        diagnostics(make_complete(8), trials=10, seed=9)
 
 
 def test_fit_gamma_self_tests():

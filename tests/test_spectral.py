@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyldla import dla, experiment
+from cyldla import dla, experiment, spectral
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
@@ -19,7 +19,6 @@ from cyldla.spectral import (
     avoidance_frequency,
     bipartite_like,
     check_fast_mixing,
-    compute_profile,
     count_constrained_paths,
     eigen_profile,
     fast_mixing_threshold,
@@ -60,10 +59,11 @@ def test_eigenvalues_bounded_and_trace():
         assert sum(prof.eigenvalues) == pytest.approx(g.loop_count() / g.d, abs=1e-6)
 
 
-def test_power_iteration_fallback_matches_dense():
+def test_power_iteration_fallback_matches_dense(monkeypatch):
     g = make_torus(5, 2)
     dense = eigen_profile(g)
-    power = eigen_profile(g, dense_cutoff=4)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 4)
+    power = eigen_profile(g)
     assert power.lam == pytest.approx(dense.lam, abs=1e-6)
     assert len(power.eigenvalues) == 2
 
@@ -99,11 +99,15 @@ def _count_eigen_calls(monkeypatch):
 
 def test_one_decomposition_per_graph(monkeypatch):
     calls = _count_eigen_calls(monkeypatch)
-    g = parse_graph_spec("random:40:3:seed=1")
     config = experiment.ExperimentConfig(
-        graph_spec=g.label, target_layers=(4,), replicas=5, base_seed=2, density_overshoot=2
+        graph_spec="random:40:3:seed=1",
+        target_layers=(4,),
+        replicas=5,
+        base_seed=2,
+        density_overshoot=2,
     )
-    result = experiment.estimate_density(config, g)
+    result = experiment.estimate_density(config)
+    g = result.graph
     assert all(run.cluster._kernel._u is g.walk_spectrum[1] for run in result.runs)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
@@ -168,8 +172,6 @@ def test_mixing_q3_finite_despite_bipartite():
 
 def test_mixing_cap_sentinel():
     assert mixing_time(make_cycle(30), 3) is None
-    prof = compute_profile(make_cycle(30), cap=3)
-    assert prof.mixing_time == "exceeded-cap"
 
 
 def test_mixing_min_entry_monotone():
@@ -187,8 +189,7 @@ def test_check_fast_mixing_value():
     thr = fast_mixing_threshold(16)
     assert thr == pytest.approx(math.log(16) ** 2 / math.log(math.log(16)) ** 5)
     assert thr == pytest.approx(6.977, abs=0.01)
-    prof = compute_profile(make_complete(16))
-    check = check_fast_mixing(prof)
+    check = check_fast_mixing(16, mixing_time(make_complete(16), 10_000))
     assert check.estimate == 1.0 and check.verdict == "pass"
     assert check.applicability is not None
 
@@ -196,9 +197,8 @@ def test_check_fast_mixing_value():
 def test_check_fast_mixing_rejections():
     with pytest.raises(ValueError):
         fast_mixing_threshold(2)
-    prof = compute_profile(make_cycle(30), cap=3)  # sentinel mixing time
     with pytest.raises(ValueError):
-        check_fast_mixing(prof)
+        check_fast_mixing(30, mixing_time(make_cycle(30), 3))  # None: cap exceeded
 
 
 def test_avoidance_bound_values():

@@ -11,7 +11,6 @@ from cyldla.walk1d import (
     first_passage_tail,
     lazy_max_tail,
     sample_first_passage_moves,
-    simulate_lazy_walk,
     simulate_lazy_walks,
     zero_count_cdf,
     zeros_constant,
@@ -69,17 +68,6 @@ def test_enumerate_simple_examples():
     assert enumerate_paths(4, zero_visits_below(1)) == Fraction(3, 8)
 
 
-def test_enumerate_lazy_holding():
-    val = enumerate_paths(1, lambda p: p[:, 1] == 0, kind="lazy", alpha=0.5)
-    assert val == pytest.approx(0.5)
-
-
-def test_enumerate_lazy_matches_simple_at_alpha_one():
-    simple = enumerate_paths(6, all_prefixes_nonneg)
-    lazy = enumerate_paths(6, all_prefixes_nonneg, kind="lazy", alpha=1.0)
-    assert lazy == pytest.approx(float(simple), abs=1e-12)
-
-
 def test_enumerate_rejects_large():
     with pytest.raises(ValueError):
         enumerate_paths(21, all_prefixes_nonneg)
@@ -87,11 +75,11 @@ def test_enumerate_rejects_large():
 
 def test_simulate_lazy_walk():
     params = LazyWalkParams(0.5)
-    assert simulate_lazy_walk(params, 0, 1).tolist() == [0]
-    path = simulate_lazy_walk(LazyWalkParams(1.0), 1000, 3)
+    assert simulate_lazy_walks(params, 0, 1, 1)[0].tolist() == [0]
+    path = simulate_lazy_walks(LazyWalkParams(1.0), 1000, 1, 3)[0]
     assert np.all(np.abs(np.diff(path)) == 1)  # no holds at alpha=1
-    a = simulate_lazy_walk(params, 200, 9)
-    b = simulate_lazy_walk(params, 200, 9)
+    a = simulate_lazy_walks(params, 200, 1, 9)[0]
+    b = simulate_lazy_walks(params, 200, 1, 9)[0]
     assert np.array_equal(a, b)
 
 
