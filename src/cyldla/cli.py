@@ -32,6 +32,7 @@ from .experiment import (
 )
 from .graphs import add_self_loops, edge_list_lines, parse_graph_spec, validate
 from .spectral import eigen_profile, mixing_time
+from .stats import BOUND_SIGMAS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -163,7 +164,7 @@ def cmd_density(args) -> int:
     cons = top.consistency
     print(
         f"# {cons.name}: {cons.left!r} vs {cons.right!r} "
-        f"(3*sigma={3 * cons.combined_sigma!r}) -> {'ok' if cons.ok else 'apart'}",
+        f"(3*sigma={BOUND_SIGMAS * cons.combined_sigma!r}) -> {'ok' if cons.ok else 'apart'}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -181,6 +182,11 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     snap = dla.load_snapshot(args.snapshot)
+    try:
+        graph = parse_graph_spec(snap.graph)
+    except ValueError as exc:
+        raise ValueError(f"snapshot graph {snap.graph!r} is not a graph spec: {exc}") from None
+    dla.cluster_from_snapshot(snap, graph)
     result = render.render_snapshot(snap, style=args.style, fmt=args.format, scale=args.scale)
     for w in result.warnings:
         print(f"# warning: {w}", file=sys.stderr)

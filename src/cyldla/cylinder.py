@@ -221,7 +221,6 @@ class ExcursionStudy:
     negative_long: EstimateSummary
     bound: float
     bound_check: BoundCheck
-    negative_bound_check: BoundCheck
 
     @property
     def symmetry_gap(self) -> float:
@@ -330,9 +329,6 @@ def long_excursion_frequency(
     check = make_bound_check(
         f"positive-{alpha:g}-long-excursion-lower-bound", bound, ">=", pos_summary
     )
-    neg_check = make_bound_check(
-        f"negative-{alpha:g}-long-excursion-lower-bound", bound, ">=", neg_summary
-    )
     return ExcursionStudy(
         alpha=alpha,
         trials=trials,
@@ -347,5 +343,4 @@ def long_excursion_frequency(
         negative_long=neg_summary,
         bound=bound,
         bound_check=check,
-        negative_bound_check=neg_check,
     )

@@ -18,6 +18,11 @@ advanced in one shot through the exact base kernel
 reports the full walk length, including fast-forwarded steps.  The step cap
 applies to literally simulated steps; a cap hit aborts the drop with a hard
 error rather than resampling, which would bias the sticking distribution.
+
+A snapshot file names its base graph by label and lists the sticks in
+order.  :func:`load_snapshot` only parses it; :func:`cluster_from_snapshot`
+replays the sticks on the named graph through :func:`is_boundary`, the one
+check of the sticking rule a snapshot meets.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from .graphs import RegularGraph, add_self_loops
 from .stats import BoundCheck, Chi2Result, EstimateSummary, chi_square_two_sample, make_bound_check
 
 DEFAULT_STEP_CAP = 100_000_000
-SNAPSHOT_MAGIC = "cyldla v1"
+SNAPSHOT_MAGIC = "cyldla v2"
 
 
 class CapExceededError(RuntimeError):
@@ -59,12 +64,13 @@ class ParticleOutcome:
 
 @dataclass(frozen=True)
 class GrowthStats:
-    """Accumulated history of one cluster."""
+    """Step counts kappa of the drops made by one :func:`grow` call.
 
-    T_m: dict[int, int]
-    wall_times: tuple[tuple[int, int], ...]
+    Growth times, walls and the particle count live on the cluster
+    (``first_reach``, ``wall_times``, ``t``).
+    """
+
     kappa_histogram: Counter
-    particles: int
 
 
 class Cluster:
@@ -143,16 +149,14 @@ def is_boundary(cluster: Cluster, pos) -> bool:
     """True iff ``pos`` is unoccupied and adjacent to an occupied vertex.
 
     Loop slots never make a vertex its own neighbor here: an occupied vertex
-    reports False regardless.
+    reports False regardless, and so does a layer outside the cluster's rows.
     """
     g, z = pos
     occ = cluster.occ
     depth = len(occ)
-    if z < depth and occ[z][g]:
+    if not 0 <= z < depth or occ[z][g]:
         return False
-    if z >= depth:
-        return False
-    if z > 0 and occ[z - 1][g]:
+    if occ[z - 1][g]:  # z >= 1 here: the floor layer is full
         return True
     if z + 1 < depth and occ[z + 1][g]:
         return True
@@ -295,12 +299,7 @@ def grow(
         out = drop_particle(cluster, rng, cap)
         added += 1
         kappa_hist[out.kappa] += 1
-    return GrowthStats(
-        T_m=dict(cluster.first_reach),
-        wall_times=tuple(cluster.wall_times),
-        kappa_histogram=kappa_hist,
-        particles=cluster.t,
-    )
+    return GrowthStats(kappa_hist)
 
 
 def load(cluster: Cluster, i: int) -> int:
@@ -506,19 +505,23 @@ def loop_equivalence_check(
 
 @dataclass(frozen=True)
 class SnapshotData:
+    """A parsed snapshot: the label of its base graph, sizes, and sticks in order.
+
+    ``sticks[k - 1]`` is (layer, vertex) of the k-th stuck particle.
+    """
+
+    graph: str
     n: int
     d: int
     t: int
     M: int
-    entries: tuple[tuple[int, int, int], ...]  # (layer, vertex, stick_order)
+    sticks: tuple[tuple[int, int], ...]
 
 
 def snapshot_lines(cluster: Cluster) -> list[str]:
-    header = f"{SNAPSHOT_MAGIC} n={cluster.graph.n} d={cluster.graph.d} t={cluster.t} M={cluster.M}"
-    entries = [(0, v, 0) for v in range(cluster.graph.n)]
-    entries.extend((layer, vertex, order) for order, vertex, layer in cluster.stick_log)
-    entries.sort(key=lambda e: (e[2], e[1]))
-    return [header] + [f"{layer} {vertex} {order}" for layer, vertex, order in entries]
+    g = cluster.graph
+    header = f"{SNAPSHOT_MAGIC} graph={g.label} n={g.n} d={g.d} t={cluster.t} M={cluster.M}"
+    return [header] + [f"{layer} {vertex}" for _, vertex, layer in cluster.stick_log]
 
 
 def save_snapshot(cluster: Cluster, path) -> None:
@@ -529,19 +532,23 @@ def save_snapshot(cluster: Cluster, path) -> None:
 
 
 def load_snapshot(path) -> SnapshotData:
-    """Read a snapshot file; a malformed header or entry raises ValueError.
+    """Parse a snapshot file; a malformed header or line raises ValueError.
 
-    A snapshot names no base graph, so only the part of the sticking rule
-    that holds on every base is checked here: in stick order, each stick
-    lands on a free vertex at a layer >= 1, next to an occupied vertex in
-    its column or on a layer that already holds a particle.
-    :func:`cluster_from_snapshot` checks the full rule on the graph.
+    Only the layout is checked: the header names the base graph and gives
+    integer n, d, t and M, and each line is one stick ``layer vertex`` with
+    0 <= vertex < n and layer >= 1.  Whether the sticks could have grown is
+    checked by :func:`cluster_from_snapshot` on the named graph.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or not lines[0].startswith(SNAPSHOT_MAGIC):
-        raise ValueError("not a cluster snapshot file")
-    fields = dict(part.partition("=")[::2] for part in lines[0][len(SNAPSHOT_MAGIC) :].split())
+    words = lines[0].split() if lines else []
+    if words[:2] == ["cyldla", "v1"]:
+        raise ValueError("snapshot is cyldla v1, which names no base graph")
+    if words[:2] != SNAPSHOT_MAGIC.split():
+        raise ValueError(f"snapshot file does not start with {SNAPSHOT_MAGIC!r}")
+    fields = dict(word.partition("=")[::2] for word in words[2:])
+    if not fields.get("graph"):
+        raise ValueError(f"snapshot header needs a graph=: {lines[0]!r}")
     header = []
     for key in ("n", "d", "t", "M"):
         try:
@@ -549,47 +556,43 @@ def load_snapshot(path) -> SnapshotData:
         except (KeyError, ValueError):
             raise ValueError(f"snapshot header needs an integer {key}=: {lines[0]!r}") from None
     n = header[0]
-    entries = []
+    sticks = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            layer, vertex, order = (int(x) for x in line.split())
+            layer, vertex = (int(x) for x in line.split())
         except ValueError:
-            raise ValueError(f"snapshot line {lineno} is not 3 integers: {line!r}") from None
-        if not 0 <= vertex < n or layer < 0:
-            raise ValueError(f"snapshot line {lineno} is outside n={n} x layers >= 0: {line!r}")
-        entries.append((layer, vertex, order))
-    occupied = {(0, v) for v in range(n)}
-    layer_loads = Counter({0: n})
-    for layer, vertex, order in sorted((e for e in entries if e[2] > 0), key=lambda e: e[2]):
-        column = (layer - 1, vertex) in occupied or (layer + 1, vertex) in occupied
-        if (layer, vertex) in occupied or not (column or layer_loads[layer]):
-            raise ValueError(
-                f"snapshot stick {order} at layer {layer}, vertex {vertex} "
-                "does not touch the cluster before it"
-            )
-        occupied.add((layer, vertex))
-        layer_loads[layer] += 1
-    return SnapshotData(*header, tuple(entries))
+            raise ValueError(f"snapshot line {lineno} is not 2 integers: {line!r}") from None
+        if not 0 <= vertex < n or layer < 1:
+            raise ValueError(f"snapshot line {lineno} is outside n={n} x layers >= 1: {line!r}")
+        sticks.append((layer, vertex))
+    return SnapshotData(fields["graph"], *header, tuple(sticks))
 
 
 def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
-    if graph.n != snap.n or graph.d != snap.d:
-        raise ValueError("graph does not match snapshot dimensions")
+    """Replay a snapshot on its graph; the one sticking check a snapshot meets.
+
+    ``graph`` must carry the label, n and d the snapshot names.  Each stick,
+    in order, must land on a boundary vertex of the cluster before it, and
+    the replay must end at the header's t and M; otherwise ValueError.
+    """
+    if (graph.label, graph.n, graph.d) != (snap.graph, snap.n, snap.d):
+        raise ValueError(
+            f"snapshot names graph={snap.graph} n={snap.n} d={snap.d}, "
+            f"not {graph.label} with n={graph.n} d={graph.d}"
+        )
     cluster = new_cluster(graph)
-    replay = sorted(
-        (e for e in snap.entries if e[2] > 0), key=lambda e: e[2]
-    )
-    for layer, vertex, order in replay:
-        if order != cluster.t + 1:
-            raise ValueError("snapshot stick orders are not consecutive")
+    for k, (layer, vertex) in enumerate(snap.sticks, start=1):
         if not is_boundary(cluster, (vertex, layer)):
             raise ValueError(
-                f"snapshot stick {order} at layer {layer}, vertex {vertex} "
+                f"snapshot stick {k} at layer {layer}, vertex {vertex} "
                 "is not on the boundary of the cluster before it"
             )
         _commit(cluster, vertex, layer)
     if cluster.M != snap.M or cluster.t != snap.t:
-        raise ValueError("snapshot header disagrees with its entries")
+        raise ValueError(
+            f"snapshot header has t={snap.t} M={snap.M}; "
+            f"its sticks give t={cluster.t} M={cluster.M}"
+        )
     return cluster
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dla
-from .dla import Cluster, GrowthStats
+from .dla import Cluster
 from .graphs import RegularGraph, parse_graph_spec
 from .spectral import check_fast_mixing, eigen_profile, mixing_time
 from .stats import BOUND_SIGMAS, BoundCheck, EstimateSummary, make_bound_check
@@ -81,34 +81,16 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ReplicaRun:
-    index: int
-    stats: GrowthStats
-    cluster: Cluster
-
-
 def run_replicas(
     graph: RegularGraph, grow_to_layer: int, replicas: int, base_seed: int, cap: int
-) -> list[ReplicaRun]:
-    """Independent growth runs, each until ``grow_to_layer`` is first reached."""
-    runs = []
+) -> list[Cluster]:
+    """Independent clusters in replica order, each grown to ``grow_to_layer``."""
+    clusters = []
     for r in range(replicas):
         cluster = dla.new_cluster(graph)
-        stats = dla.grow(
-            cluster, replica_rng(base_seed, r), target_layer=grow_to_layer, cap=cap
-        )
-        runs.append(ReplicaRun(r, stats, cluster))
-    return runs
-
-
-def merge_growth_samples(runs: list[ReplicaRun], targets) -> dict[int, np.ndarray]:
-    """Per-target arrays of T_m across replicas; invariant under run order."""
-    ordered = sorted(runs, key=lambda r: r.index)
-    out = {}
-    for m in targets:
-        out[m] = np.array([run.stats.T_m[m] for run in ordered], dtype=np.int64)
-    return out
+        dla.grow(cluster, replica_rng(base_seed, r), target_layer=grow_to_layer, cap=cap)
+        clusters.append(cluster)
+    return clusters
 
 
 def growth_bound_checks(
@@ -161,17 +143,16 @@ def estimate_T(config: ExperimentConfig, graph: RegularGraph | None = None) -> G
     """Estimate E[T_m] for every target layer with its bound dashboard."""
     graph = graph or parse_graph_spec(config.graph_spec)
     max_m = max(config.target_layers)
-    runs = run_replicas(graph, max_m, config.replicas, config.base_seed, config.step_cap)
-    samples = merge_growth_samples(runs, sorted(config.target_layers))
+    clusters = run_replicas(graph, max_m, config.replicas, config.base_seed, config.step_cap)
     monotone = all(
-        _strictly_increasing([run.stats.T_m[m] for m in range(1, max_m + 1)])
-        for run in runs
+        _strictly_increasing([c.first_reach[m] for m in range(1, max_m + 1)]) for c in clusters
     )
     estimates = []
     for m in sorted(config.target_layers):
-        summary = EstimateSummary.from_samples(samples[m])
+        samples = np.array([c.first_reach[m] for c in clusters], dtype=np.int64)
+        summary = EstimateSummary.from_samples(samples)
         estimates.append(
-            GrowthEstimate(m, summary, samples[m], tuple(growth_bound_checks(graph, m, summary)))
+            GrowthEstimate(m, summary, samples, tuple(growth_bound_checks(graph, m, summary)))
         )
     return GrowthResult(config, graph, tuple(estimates), monotone)
 
@@ -188,7 +169,6 @@ class ConsistencyCheck:
     left: float
     right: float
     combined_sigma: float
-    sigmas: float
     ok: bool
 
 
@@ -198,7 +178,6 @@ class DensityEstimate:
     phi: int
     summary: EstimateSummary
     samples: np.ndarray
-    t_prime_scaled: EstimateSummary
     bound_checks: tuple[BoundCheck, ...]
     consistency: ConsistencyCheck
     first_touch_consistency: ConsistencyCheck
@@ -211,7 +190,7 @@ class DensityResult:
     graph: RegularGraph
     grow_to_layer: int
     per_layer: tuple[DensityEstimate, ...]
-    runs: tuple[ReplicaRun, ...]
+    clusters: tuple[Cluster, ...]  # in replica order
 
 
 def estimate_density(config: ExperimentConfig) -> DensityResult:
@@ -227,18 +206,18 @@ def estimate_density(config: ExperimentConfig) -> DensityResult:
     """
     graph = parse_graph_spec(config.graph_spec)
     m_prime = max(config.target_layers) + config.overshoot()
-    runs = run_replicas(graph, m_prime, config.replicas, config.base_seed, config.step_cap)
+    clusters = run_replicas(graph, m_prime, config.replicas, config.base_seed, config.step_cap)
     gap = eigen_profile(graph).gap
     n = graph.n
     per_layer = []
     for m in sorted(config.target_layers):
         phi = m_prime - m
-        d_samples = np.array([dla.density_upto(run.cluster, m) for run in runs])
+        d_samples = np.array([dla.density_upto(c, m) for c in clusters])
         t_prime_samples = np.array(
-            [run.stats.T_m[m_prime] / (m_prime * n) for run in runs], dtype=np.float64
+            [c.first_reach[m_prime] / (m_prime * n) for c in clusters], dtype=np.float64
         )
         t_touch_samples = np.array(
-            [run.stats.T_m[m] / (m * n) for run in runs], dtype=np.float64
+            [c.first_reach[m] / (m * n) for c in clusters], dtype=np.float64
         )
         summary = EstimateSummary.from_samples(d_samples)
         t_scaled = EstimateSummary.from_samples(t_prime_samples)
@@ -270,24 +249,21 @@ def estimate_density(config: ExperimentConfig) -> DensityResult:
                 phi,
                 summary,
                 d_samples,
-                t_scaled,
                 tuple(checks),
                 consistency,
                 first_touch,
                 leak_note,
             )
         )
-    return DensityResult(config, graph, m_prime, tuple(per_layer), tuple(runs))
+    return DensityResult(config, graph, m_prime, tuple(per_layer), tuple(clusters))
 
 
 def _consistency_check(
     name: str, left: EstimateSummary, right: EstimateSummary
 ) -> ConsistencyCheck:
     combined = math.sqrt(left.std_error**2 + right.std_error**2)
-    diff = abs(left.mean - right.mean)
-    return ConsistencyCheck(
-        name, left.mean, right.mean, combined, BOUND_SIGMAS, diff <= BOUND_SIGMAS * combined
-    )
+    ok = abs(left.mean - right.mean) <= BOUND_SIGMAS * combined
+    return ConsistencyCheck(name, left.mean, right.mean, combined, ok)
 
 
 @dataclass(frozen=True)
@@ -405,7 +381,6 @@ def fit_growth_exponent(
 class DashboardRow:
     spec: str
     n: int
-    d: int
     mixing_time: int | None  # None: not mixed within 10,000 lazy steps
     fast_mixing: BoundCheck
     growth: GrowthResult
@@ -443,7 +418,7 @@ def bound_dashboard(family_specs, m: int, replicas: int, base_seed: int) -> Dash
             density_overshoot=1,  # growth-only run, the overshoot is unused
         )
         growth = estimate_T(config, graph)
-        rows.append(DashboardRow(spec, graph.n, graph.d, t_mix, fast, growth))
+        rows.append(DashboardRow(spec, graph.n, t_mix, fast, growth))
     ns = [row.n for row in rows]
     ys = [row.growth.per_layer[-1].summary.mean / m for row in rows]
     return DashboardResult(tuple(rows), fit_gamma(ns, ys))
@@ -467,7 +442,7 @@ def _write_csv(path: str, config_hash: str, header: str, rows) -> None:
 def growth_csv_rows(result: DensityResult) -> list[tuple]:
     """Schema-A rows (replica, m, T_m) from a density run."""
     targets = sorted(result.config.target_layers)
-    return [(run.index, m, run.stats.T_m[m]) for run in result.runs for m in targets]
+    return [(r, m, c.first_reach[m]) for r, c in enumerate(result.clusters) for m in targets]
 
 
 def density_csv_rows(result: DensityResult) -> list[tuple]:
@@ -475,8 +450,8 @@ def density_csv_rows(result: DensityResult) -> list[tuple]:
     targets = sorted(result.config.target_layers)
     by_m = {est.m: est for est in result.per_layer}
     return [
-        (run.index, m, by_m[m].phi, repr(float(by_m[m].samples[i])))
-        for i, run in enumerate(result.runs)
+        (r, m, by_m[m].phi, repr(float(by_m[m].samples[r])))
+        for r in range(len(result.clusters))
         for m in targets
     ]
 
@@ -517,7 +492,7 @@ def run_sweep(config: ExperimentConfig) -> SweepOutputs:
                 result.graph,
                 config.probe_trials,
                 replica_rng(config.base_seed, config.replicas),
-                cluster=result.runs[0].cluster,
+                cluster=result.clusters[0],
                 cap=config.step_cap,
             )
             probe_rows = [

@@ -4,7 +4,9 @@ Cycle bases (d = 2) unroll to a vertex-by-layer pixel grid where each stuck
 particle is colored by its stick order along a monotone cold-to-warm ramp,
 so the growth history reads directly off the image.  Other bases fall back
 to a per-layer load bar chart.  Output bytes are a pure function of the
-snapshot and the style flags.
+snapshot and the style flags.  The renderer draws a snapshot as given;
+``cyldla render`` first replays it on its graph with
+:func:`cyldla.dla.cluster_from_snapshot`.
 """
 from __future__ import annotations
 
@@ -71,7 +73,8 @@ def render_snapshot(
 
     ``style`` is ``pixels`` (cycle bases only), ``bars``, or ``auto`` which
     picks pixels exactly when d = 2.  Requesting pixels on a non-cycle base
-    falls back to bars with a warning.
+    falls back to bars with a warning.  The floor is drawn from n and stick
+    k takes the ramp colour at k / t; the sticks are not checked here.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -93,12 +96,17 @@ def render_snapshot(
     return RenderResult(data, width, height, style, fmt, tuple(warnings))
 
 
+def _layer_count(snap: SnapshotData) -> int:
+    """Layers drawn: the full floor layer 0 up to the highest stick."""
+    return max((layer for layer, _ in snap.sticks), default=0) + 1
+
+
 def _render_pixels(snap: SnapshotData, fmt: str, scale: int):
-    layers = max(layer for layer, _, _ in snap.entries) + 1
+    layers = _layer_count(snap)
     width, height = snap.n * scale, layers * scale
-    grid: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for layer, vertex, order in snap.entries:
-        grid[(vertex, layer)] = BASE_COLOR if order == 0 else _ramp(order, snap.t)
+    grid = {(vertex, 0): BASE_COLOR for vertex in range(snap.n)}
+    for k, (layer, vertex) in enumerate(snap.sticks, start=1):
+        grid[(vertex, layer)] = _ramp(k, snap.t)
     if fmt == "ppm":
         background = bytes(BACKGROUND) * scale
         cells = [[background] * snap.n for _ in range(layers)]
@@ -114,9 +122,9 @@ def _render_pixels(snap: SnapshotData, fmt: str, scale: int):
 
 
 def _render_bars(snap: SnapshotData, fmt: str, scale: int):
-    layers = max(layer for layer, _, _ in snap.entries) + 1
-    loads = [0] * layers
-    for layer, _, _ in snap.entries:
+    layers = _layer_count(snap)
+    loads = [snap.n] + [0] * (layers - 1)
+    for layer, _ in snap.sticks:
         loads[layer] += 1
     bar_width = 64 * scale
     width, height = bar_width, layers * scale

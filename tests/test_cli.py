@@ -3,6 +3,15 @@ from pathlib import Path
 import pytest
 
 from cyldla import cli
+from cyldla.graphs import (
+    add_self_loops,
+    make_complete,
+    make_cycle,
+    make_hypercube,
+    make_random_regular,
+    make_torus,
+    parse_graph_spec,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,33 +168,39 @@ def test_render_cli(tmp_path, capsys):
     assert out2.read_bytes() == data
 
 
-SNAPSHOT_FLOOR = "0 0 0\n0 1 0\n0 2 0\n"
+SNAP3 = "cyldla v2 graph=cycle:3 n=3 d=2"
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.mark.parametrize(
-    "text",
+    "lines",
     [
-        "cyldla v1 n=3 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",  # no d
-        "cyldla v1 n=3 d=two t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",
-        "cyldla v1 n=3 d t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1 0\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 x 1\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 7 1\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 -1 1\n",
-        "cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "-1 1 1\n",
-        # sticks that no walk can place: a duplicate, a floating particle
-        # above an empty column, and a stick on the full floor layer
-        "cyldla v1 n=3 d=2 t=2 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n1 1 2\n",
-        "cyldla v1 n=4 d=2 t=2 M=3\n" + SNAPSHOT_FLOOR + "0 3 0\n1 0 1\n2 2 2\n",
-        "cyldla v1 n=3 d=2 t=1 M=1\n" + SNAPSHOT_FLOOR + "0 1 1\n",
+        ["cyldla v2 graph=cycle:3 n=3 t=1 M=2", "1 1"],
+        ["cyldla v2 graph=cycle:3 n=3 d=two t=1 M=2", "1 1"],
+        ["cyldla v2 graph=cycle:3 n=3 d t=1 M=2", "1 1"],
+        [SNAP3 + " t=1 M=2", "1"],
+        [SNAP3 + " t=1 M=2", "1 1 1"],
+        [SNAP3 + " t=1 M=2", "1 x"],
+        [SNAP3 + " t=1 M=2", "1 7"],
+        [SNAP3 + " t=1 M=2", "1 -1"],
+        [SNAP3 + " t=1 M=2", "-1 1"],
+        [SNAP3 + " t=1 M=1", "0 1"],  # a stick on the full floor layer
+        ["cyldla v2 graph= n=3 d=2 t=1 M=2", "1 1"],
+        ["cyldla v1 n=3 d=2 t=1 M=2", "0 0 0", "0 1 0", "0 2 0", "1 1 1"],
+    ],
+    ids=[
+        "no-d", "d-not-int", "d-no-value", "one-int", "three-ints", "vertex-not-int",
+        "vertex-above-n", "vertex-negative", "layer-negative", "layer-zero", "empty-graph", "v1",
     ],
 )
-def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys, text):
+def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys, lines):
     from cyldla import dla
 
-    path = tmp_path / "bad.snap"
-    path.write_text(text)
+    path = _write_lines(tmp_path / "bad.snap", lines)
     with pytest.raises(ValueError):
         dla.load_snapshot(path)
     code, _, err = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "bad.ppm"))
@@ -193,11 +208,83 @@ def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys, text):
     assert not (tmp_path / "bad.ppm").exists()
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [SNAP3 + " t=2 M=2", "1 1", "1 1"],  # a duplicate
+        ["cyldla v2 graph=cycle:4 n=4 d=2 t=2 M=3", "1 0", "2 2"],  # floats above an empty column
+        # (3, 2) touches its layer, but 3 and 0 are not neighbours on cycle:6
+        ["cyldla v2 graph=cycle:6 n=6 d=2 t=3 M=3", "1 0", "2 0", "2 3"],
+        ["cyldla v2 graph=cycle:6 n=6 d=2 t=3 M=3", "1 0", "2 3", "2 0"],
+        [SNAP3 + " t=2 M=2", "1 1"],  # the header's t is not the stick count
+        [SNAP3 + " t=1 M=3", "1 1"],  # the header's M is not the replayed M
+        ["cyldla v2 graph=cycle:4 n=3 d=2 t=1 M=2", "1 1"],  # n is not the graph's
+        ["cyldla v2 graph=CYCLE:3 n=3 d=2 t=1 M=2", "1 1"],  # parses to another label
+    ],
+    ids=[
+        "duplicate", "floating", "off-graph-neighbour", "off-graph-column", "t-mismatch",
+        "M-mismatch", "n-mismatch", "label-not-canonical",
+    ],
+)
+def test_snapshot_that_fails_replay_is_a_configuration_error(tmp_path, capsys, lines):
+    from cyldla import dla
+
+    path = _write_lines(tmp_path / "bad.snap", lines)
+    snap = dla.load_snapshot(path)
+    with pytest.raises(ValueError):
+        dla.cluster_from_snapshot(snap, parse_graph_spec(snap.graph))
+    code, _, err = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "bad.ppm"))
+    assert code == 2 and err.splitlines()[-1].startswith("error: snapshot")
+    assert not (tmp_path / "bad.ppm").exists()
+
+
 def test_wellformed_snapshot_text_renders(tmp_path, capsys):
-    path = tmp_path / "good.snap"
-    path.write_text("cyldla v1 n=3 d=2 t=1 M=2\n" + SNAPSHOT_FLOOR + "1 1 1\n")
+    path = _write_lines(tmp_path / "good.snap", [SNAP3 + " t=1 M=2", "1 1"])
     code, _, _ = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "good.ppm"))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_cycle(7),
+        lambda: make_torus(3, 2),
+        lambda: make_torus(3, 3),
+        lambda: make_hypercube(3),
+        lambda: make_complete(5),
+        lambda: make_random_regular(12, 3, 4),
+    ],
+    ids=["cycle", "torus2", "torus3", "hypercube", "complete", "random"],
+)
+def test_saved_snapshot_replays_and_renders_on_every_family(tmp_path, capsys, make):
+    import numpy as np
+
+    from cyldla import dla
+
+    g = make()
+    c = dla.new_cluster(g)
+    dla.grow(c, np.random.default_rng(8), particles=40)
+    path = tmp_path / "c.snap"
+    dla.save_snapshot(c, path)
+    snap = dla.load_snapshot(path)
+    assert dla.cluster_from_snapshot(snap, parse_graph_spec(snap.graph)).stick_log == c.stick_log
+    code, _, _ = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "c.ppm"))
+    assert code == 0 and (tmp_path / "c.ppm").read_bytes().startswith(b"P6\n")
+
+
+def test_loop_graph_snapshot_is_saved_but_not_rendered(tmp_path, capsys):
+    import numpy as np
+
+    from cyldla import dla
+
+    c = dla.new_cluster(add_self_loops(make_cycle(6)))
+    dla.grow(c, np.random.default_rng(9), particles=10)
+    path = tmp_path / "c.snap"
+    dla.save_snapshot(c, path)
+    assert dla.load_snapshot(path).graph == "cycle:6+loops"
+    code, _, err = run_cli(capsys, "render", str(path), "--out", str(tmp_path / "c.ppm"))
+    assert code == 2 and "is not a graph spec" in err
+    assert not (tmp_path / "c.ppm").exists()
 
 
 def test_fit_gamma_cli(capsys):

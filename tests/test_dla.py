@@ -97,7 +97,7 @@ def test_grow_budget_and_conservation():
     g = make_cycle(6)
     c = new_cluster(g)
     stats = grow(c, np.random.default_rng(3), particles=120)
-    assert c.t == 120 and stats.particles == 120
+    assert c.t == 120 and sum(stats.kappa_histogram.values()) == 120
     assert sum(c.loads) == g.n + 120
     assert load_at_least(c, 1) == 120
     for i in range(1, c.M):
@@ -468,7 +468,8 @@ def test_snapshot_roundtrip(tmp_path):
     path = tmp_path / "cluster.snap"
     save_snapshot(c, path)
     text = path.read_text()
-    assert text.startswith(f"cyldla v1 n=5 d=2 t=80 M={c.M}\n")
+    assert text.startswith(f"cyldla v2 graph=cycle:5 n=5 d=2 t=80 M={c.M}\n")
+    assert text.splitlines()[1:] == [f"{layer} {vertex}" for _, vertex, layer in c.stick_log]
     snap = load_snapshot(path)
     rebuilt = cluster_from_snapshot(snap, g)
     assert rebuilt.stick_log == c.stick_log
@@ -493,40 +494,26 @@ def test_snapshot_rejects_corrupt_file(tmp_path):
     path.write_text("not a snapshot\n")
     with pytest.raises(ValueError):
         load_snapshot(path)
-
-
-def _floor(n):
-    return tuple((0, v, 0) for v in range(n))
+    path.write_text("cyldla v1 n=3 d=2 t=1 M=2\n0 0 0\n0 1 0\n0 2 0\n1 1 1\n")
+    with pytest.raises(ValueError, match="v1, which names no base graph"):
+        load_snapshot(path)
 
 
 @pytest.mark.parametrize(
     "n, t, M, sticks",
     [
-        (3, 2, 2, ((1, 1, 1), (1, 1, 2))),  # duplicate entry
-        (4, 2, 3, ((1, 0, 1), (2, 2, 2))),  # floating above an empty column
-        (3, 1, 1, ((0, 1, 1),)),  # stick on the full floor layer
-        # touches its layer, so only the graph shows that (3, 2) is floating
-        (6, 3, 3, ((1, 0, 1), (2, 0, 2), (2, 3, 3))),
+        (3, 2, 2, ((1, 1), (1, 1))),  # duplicate entry
+        (4, 2, 3, ((1, 0), (2, 2))),  # floating above an empty column
+        (3, 1, 1, ((0, 1),)),  # stick on the full floor layer
+        # touches its layer, but (3, 2) is floating on cycle:6
+        (6, 3, 3, ((1, 0), (2, 0), (2, 3))),
+        (3, 1, 1, ((-1, 0),)),  # below the floor layer
     ],
 )
 def test_replay_requires_each_stick_on_the_boundary(n, t, M, sticks):
-    snap = dla.SnapshotData(n, 2, t, M, _floor(n) + sticks)
+    snap = dla.SnapshotData(f"cycle:{n}", n, 2, t, M, sticks)
     with pytest.raises(ValueError, match="not on the boundary"):
         cluster_from_snapshot(snap, make_cycle(n))
-
-
-def test_snapshot_loader_checks_positions_without_a_graph(tmp_path):
-    # (3, 2) touches a particle of its layer on some 2-regular base, so only
-    # the replay on cycle:6 rejects it
-    path = tmp_path / "c.snap"
-    lines = ["cyldla v1 n=6 d=2 t=3 M=3"] + [f"0 {v} 0" for v in range(6)]
-    path.write_text("\n".join(lines + ["1 0 1", "2 0 2", "2 3 3"]) + "\n")
-    snap = load_snapshot(path)
-    with pytest.raises(ValueError, match="not on the boundary"):
-        cluster_from_snapshot(snap, make_cycle(6))
-    path.write_text("\n".join(lines + ["1 0 1", "2 3 2", "2 0 3"]) + "\n")
-    with pytest.raises(ValueError, match="does not touch the cluster"):
-        load_snapshot(path)
 
 
 def test_load_increment_event_identity():

@@ -139,6 +139,25 @@ def test_parse_graph_spec():
             parse_graph_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_cycle(9),
+        make_torus(4, 2),
+        make_torus(3, 3),
+        make_hypercube(4),
+        make_complete(6),
+        make_random_regular(20, 3, 5),
+    ],
+    ids=lambda g: g.label,
+)
+def test_label_parses_back_to_the_same_graph(g):
+    # a snapshot names its base graph by label, and render rebuilds it from that
+    again = parse_graph_spec(g.label)
+    assert (again.n, again.d, again.neighbors, again.lattice) == (g.n, g.d, g.neighbors, g.lattice)
+    assert again.label == g.label
+
+
 def test_edge_list_round_numbers():
     g = make_cycle(4)
     lines = edge_list_lines(g)

@@ -11,14 +11,12 @@ def _snapshot(graph, particles, seed):
     if particles:
         dla.grow(c, np.random.default_rng(seed), particles=particles)
     return dla.SnapshotData(
+        graph.label,
         graph.n,
         graph.d,
         c.t,
         c.M,
-        tuple(
-            [(0, v, 0) for v in range(graph.n)]
-            + [(layer, vertex, order) for order, vertex, layer in c.stick_log]
-        ),
+        tuple((layer, vertex) for _, vertex, layer in c.stick_log),
     )
 
 
@@ -44,7 +42,7 @@ def test_pixel_render_dimensions_and_determinism():
     a = render_snapshot(snap, scale=3)
     b = render_snapshot(snap, scale=3)
     assert a.data == b.data
-    layers = max(layer for layer, _, _ in snap.entries) + 1
+    layers = max(layer for layer, _ in snap.sticks) + 1
     assert (a.width, a.height) == (18, layers * 3)
     w, h, px = _parse_ppm(a.data)
     # bottom row is the base layer, top row contains at least one stick color
@@ -74,11 +72,8 @@ def test_svg_output():
 def test_bar_chart_reflects_loads():
     g = make_torus(3, 2)
     c = dla.synthetic_cluster(g, layer=2, count=9)
-    snap_entries = tuple(
-        [(0, v, 0) for v in range(g.n)]
-        + [(layer, vertex, order) for order, vertex, layer in c.stick_log]
-    )
-    snap = dla.SnapshotData(g.n, g.d, c.t, c.M, snap_entries)
+    sticks = tuple((layer, vertex) for _, vertex, layer in c.stick_log)
+    snap = dla.SnapshotData(g.label, g.n, g.d, c.t, c.M, sticks)
     res = render_snapshot(snap, style="bars", scale=1)
     w, h, px = _parse_ppm(res.data)
     assert h == 3  # layers 0..2
@@ -97,12 +92,15 @@ def test_render_rejects_bad_args():
 
 
 def _per_pixel_ppm(snap, style, scale):
-    # the pixmap written out one pixel at a time, straight from the entries
-    layers = max(layer for layer, _, _ in snap.entries) + 1
+    # the pixmap written out one pixel at a time, straight from the entries:
+    # the floor at order 0, then stick k at order k
+    entries = [(0, v, 0) for v in range(snap.n)]
+    entries += [(layer, vertex, k) for k, (layer, vertex) in enumerate(snap.sticks, start=1)]
+    layers = max(layer for layer, _, _ in entries) + 1
     if style == "pixels":
         grid = {
             (vertex, layer): BASE_COLOR if order == 0 else _ramp(order, snap.t)
-            for layer, vertex, order in snap.entries
+            for layer, vertex, order in entries
         }
         width = snap.n * scale
 
@@ -111,7 +109,7 @@ def _per_pixel_ppm(snap, style, scale):
 
     else:
         loads = [0] * layers
-        for layer, _, _ in snap.entries:
+        for layer, _, _ in entries:
             loads[layer] += 1
         width = 64 * scale
         fills = [round(width * load / snap.n) for load in loads]

@@ -108,7 +108,7 @@ def test_one_decomposition_per_graph(monkeypatch):
     )
     result = experiment.estimate_density(config)
     g = result.graph
-    assert all(run.cluster._kernel._u is g.walk_spectrum[1] for run in result.runs)
+    assert all(c._kernel._u is g.walk_spectrum[1] for c in result.clusters)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
     assert calls == {"eigh": 1, "eigvalsh": 0}
