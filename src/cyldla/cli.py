@@ -31,7 +31,7 @@ from .experiment import (
     run_sweep,
 )
 from .graphs import add_self_loops, edge_list_lines, parse_graph_spec, validate
-from .spectral import eigen_profile, mixing_time
+from .spectral import check_fast_mixing, eigen_profile, mixing_time
 from .stats import BOUND_SIGMAS
 
 EXIT_OK = 0
@@ -73,6 +73,16 @@ def cmd_gen_graph(args) -> int:
     return EXIT_OK if diag.passed else EXIT_CHECK_FAILED
 
 
+def _print_check(check, prefix: str = "") -> None:
+    """One ``# name: estimate ... -> verdict`` line on stderr, with any caveat."""
+    caveat = f" ({check.applicability})" if check.applicability else ""
+    print(
+        f"# {prefix}{check.name}: estimate {check.estimate!r} {check.direction} "
+        f"{check.bound_value!r} -> {check.verdict}{caveat}",
+        file=sys.stderr,
+    )
+
+
 def _profile_csv(g, mixing) -> list[str]:
     prof = eigen_profile(g)
     mix = "" if mixing is None else str(mixing)
@@ -92,6 +102,13 @@ def cmd_mixing(args) -> int:
     g = parse_graph_spec(args.spec)
     t = mixing_time(g, args.cap)
     _emit(_profile_csv(g, t if t is not None else "exceeded-cap"), args.out)
+    if t is None:
+        print(
+            f"# fast-mixing-hypothesis: not decided, the mixing time exceeds the cap {args.cap}",
+            file=sys.stderr,
+        )
+    else:
+        _print_check(check_fast_mixing(g.n, t))
     return EXIT_OK
 
 
@@ -156,11 +173,7 @@ def cmd_density(args) -> int:
     top = result.per_layer[-1]
     print(f"# {top.leak_note}", file=sys.stderr)
     for check in top.bound_checks:
-        print(
-            f"# {check.name}: estimate {check.estimate!r} {check.direction} "
-            f"{check.bound_value!r} -> {check.verdict}",
-            file=sys.stderr,
-        )
+        _print_check(check)
     cons = top.consistency
     print(
         f"# {cons.name}: {cons.left!r} vs {cons.right!r} "
@@ -197,10 +210,20 @@ def cmd_render(args) -> int:
 
 
 def cmd_fit_gamma(args) -> int:
-    fit = fit_growth_exponent(args.specs, args.layers, args.replicas, args.seed, cap=args.cap)
+    family = fit_growth_exponent(args.specs, args.layers, args.replicas, args.seed, cap=args.cap)
+    for spec, base in zip(args.specs, family.bases):
+        top = base.per_layer[-1]
+        print(
+            f"# {spec}: T_{top.m} estimate {top.summary.mean!r} "
+            f"(ci95 {top.summary.ci95!r}), pathwise_monotone={base.pathwise_monotone}",
+            file=sys.stderr,
+        )
+        for check in top.bound_checks:
+            _print_check(check, prefix=f"{spec} ")
+    fit = family.gamma_fit
     print(f"gamma={fit.gamma!r} intercept={fit.intercept!r} residual_norm={fit.residual_norm!r}")
     for n, y in zip(fit.ns, fit.t_over_m):
-        print(f"point n={n} log_T_over_m={y!r}")
+        print(f"point n={n} T_over_m={y!r}")
     return EXIT_OK
 
 

@@ -211,7 +211,6 @@ class ExcursionStudy:
     alpha: float
     trials: int
     cap: int
-    start_offset: int
     signs: np.ndarray  # +1 / -1 / 0 per trial
     g_steps: np.ndarray
     lengths: np.ndarray
@@ -333,7 +332,6 @@ def long_excursion_frequency(
         alpha=alpha,
         trials=trials,
         cap=cap,
-        start_offset=start_offset,
         signs=signs,
         g_steps=g_steps,
         lengths=lengths,

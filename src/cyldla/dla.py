@@ -477,8 +477,6 @@ class LoopEquivalenceReport:
     chi2: Chi2Result
     passed: bool
     trials: int
-    particles: int
-    mutant: bool
 
 
 def loop_equivalence_check(
@@ -497,7 +495,7 @@ def loop_equivalence_check(
     counts_a = collect_height_tuples(graph, particles, trials, rng_a)
     counts_b = collect_height_tuples(add_self_loops(graph), particles, trials, rng_b, mutant=mutant)
     chi2 = chi_square_two_sample(counts_a, counts_b)
-    return LoopEquivalenceReport(chi2, chi2.p_value > 0.01, trials, particles, mutant)
+    return LoopEquivalenceReport(chi2, chi2.p_value > 0.01, trials)
 
 
 # --- snapshots ------------------------------------------------------------------

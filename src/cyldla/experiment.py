@@ -19,7 +19,7 @@ import numpy as np
 from . import dla
 from .dla import Cluster
 from .graphs import RegularGraph, parse_graph_spec
-from .spectral import check_fast_mixing, eigen_profile, mixing_time
+from .spectral import eigen_profile
 from .stats import BOUND_SIGMAS, BoundCheck, EstimateSummary, make_bound_check
 
 CSV_MAGIC = "cyldla v3"
@@ -32,7 +32,7 @@ def replica_rng(base_seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Description of one Monte-Carlo sweep."""
+    """Description of one ``simulate`` or ``density`` sweep."""
 
     graph_spec: str
     target_layers: tuple[int, ...]
@@ -96,7 +96,7 @@ def run_replicas(
 def growth_bound_checks(
     graph: RegularGraph, m: int, summary: EstimateSummary
 ) -> list[BoundCheck]:
-    """Bound dashboard for one E[T_m] estimate."""
+    """The T_m bound checks for one E[T_m] estimate."""
     n = graph.n
     checks = [
         make_bound_check(
@@ -133,28 +133,37 @@ class GrowthEstimate:
 
 @dataclass(frozen=True)
 class GrowthResult:
-    config: ExperimentConfig
     graph: RegularGraph
     per_layer: tuple[GrowthEstimate, ...]
     pathwise_monotone: bool
 
 
-def estimate_T(config: ExperimentConfig, graph: RegularGraph | None = None) -> GrowthResult:
-    """Estimate E[T_m] for every target layer with its bound dashboard."""
-    graph = graph or parse_graph_spec(config.graph_spec)
-    max_m = max(config.target_layers)
-    clusters = run_replicas(graph, max_m, config.replicas, config.base_seed, config.step_cap)
+def estimate_T(
+    graph: RegularGraph, target_layers, replicas: int, base_seed: int, cap: int
+) -> GrowthResult:
+    """Estimate E[T_m] for every target layer with its bound checks.
+
+    Every replica grows once to the largest target, so a replica's stream
+    does not depend on which smaller layers are read.
+    """
+    targets = sorted(target_layers)
+    if not targets or targets[0] < 1:
+        raise ValueError("need target layers >= 1")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    max_m = targets[-1]
+    clusters = run_replicas(graph, max_m, replicas, base_seed, cap)
     monotone = all(
         _strictly_increasing([c.first_reach[m] for m in range(1, max_m + 1)]) for c in clusters
     )
     estimates = []
-    for m in sorted(config.target_layers):
+    for m in targets:
         samples = np.array([c.first_reach[m] for c in clusters], dtype=np.int64)
         summary = EstimateSummary.from_samples(samples)
         estimates.append(
             GrowthEstimate(m, summary, samples, tuple(growth_bound_checks(graph, m, summary)))
         )
-    return GrowthResult(config, graph, tuple(estimates), monotone)
+    return GrowthResult(graph, tuple(estimates), monotone)
 
 
 def _strictly_increasing(xs) -> bool:
@@ -346,82 +355,35 @@ def fit_gamma(ns, t_over_m) -> GammaFit:
     )
 
 
+@dataclass(frozen=True)
+class GrowthFamily:
+    bases: tuple[GrowthResult, ...]  # in family order, layers 1..m
+    gamma_fit: GammaFit
+
+
 def fit_growth_exponent(
     family_specs,
     m: int,
     replicas: int,
     base_seed: int,
     cap: int = dla.DEFAULT_STEP_CAP,
-) -> GammaFit:
-    """Fit E[T_m] ~ m * n^gamma across a family of base graphs.
+) -> GrowthFamily:
+    """Estimate T_1..T_m with bound checks per base and fit E[T_m] ~ m * n^gamma.
 
-    Exploratory only: the fit is reported with its residual norm and no
-    pass/fail verdict.
+    Base i runs its replicas from ``base_seed + i``.  The fit is exploratory:
+    it is reported with its residual norm and no pass/fail verdict.
     """
     specs = list(family_specs)
     if len(specs) < 3:
         raise ValueError("need at least 3 family members")
-    ns, ys = [], []
-    for i, spec in enumerate(specs):
-        config = ExperimentConfig(
-            graph_spec=spec,
-            target_layers=(m,),
-            replicas=replicas,
-            base_seed=base_seed + i,
-            step_cap=cap,
-            density_overshoot=1,  # growth-only run, the overshoot is unused
-        )
-        result = estimate_T(config)
-        ns.append(result.graph.n)
-        ys.append(result.per_layer[0].summary.mean / m)
-    return fit_gamma(ns, ys)
-
-
-@dataclass(frozen=True)
-class DashboardRow:
-    spec: str
-    n: int
-    mixing_time: int | None  # None: not mixed within 10,000 lazy steps
-    fast_mixing: BoundCheck
-    growth: GrowthResult
-
-
-@dataclass(frozen=True)
-class DashboardResult:
-    rows: tuple[DashboardRow, ...]
-    gamma_fit: GammaFit
-
-
-def bound_dashboard(family_specs, m: int, replicas: int, base_seed: int) -> DashboardResult:
-    """Run the full bound dashboard over a graph family.
-
-    Emits, per base: the mixing time, the fast-mixing hypothesis check with
-    its applicability caveat, and the growth-time estimates with their
-    bound checks; then the family-wide growth exponent fit.
-    """
-    rows = []
-    for i, spec in enumerate(family_specs):
-        graph = parse_graph_spec(spec)
-        t_mix = mixing_time(graph, 10_000)
-        if t_mix is not None:
-            fast = check_fast_mixing(graph.n, t_mix)
-        else:
-            fast = BoundCheck(
-                "fast-mixing-hypothesis", math.nan, "<=", math.nan, 0.0,
-                "inconclusive-within-ci", "mixing-time search exceeded its cap",
-            )
-        config = ExperimentConfig(
-            graph_spec=spec,
-            target_layers=tuple(range(1, m + 1)),
-            replicas=replicas,
-            base_seed=base_seed + i,
-            density_overshoot=1,  # growth-only run, the overshoot is unused
-        )
-        growth = estimate_T(config, graph)
-        rows.append(DashboardRow(spec, graph.n, t_mix, fast, growth))
-    ns = [row.n for row in rows]
-    ys = [row.growth.per_layer[-1].summary.mean / m for row in rows]
-    return DashboardResult(tuple(rows), fit_gamma(ns, ys))
+    bases = tuple(
+        estimate_T(parse_graph_spec(spec), range(1, m + 1), replicas, base_seed + i, cap)
+        for i, spec in enumerate(specs)
+    )
+    fit = fit_gamma(
+        [b.graph.n for b in bases], [b.per_layer[-1].summary.mean / m for b in bases]
+    )
+    return GrowthFamily(bases, fit)
 
 
 # --- CSV output -----------------------------------------------------------------

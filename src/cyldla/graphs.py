@@ -6,7 +6,7 @@ neighbor" is a single uniform slot draw.  All generators produce connected
 simple graphs (loops only appear through :func:`add_self_loops`), and tag
 vertex-transitive families via ``transitive_hint``.  The hint is supplied by
 the generator and never verified algorithmically; it only gates which bound
-checks downstream dashboards apply.
+checks the experiments apply.
 """
 from __future__ import annotations
 
@@ -80,7 +80,6 @@ class GraphDiagnostics:
     regular: bool
     symmetric: bool
     connected: bool
-    messages: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -212,13 +211,8 @@ def _connected(g: RegularGraph) -> bool:
 
 def validate(g: RegularGraph) -> GraphDiagnostics:
     """Check regularity, symmetry with multiplicity, and connectivity."""
-    messages = []
     size_ok = g.n >= 2 and g.d >= 2
-    if not size_ok:
-        messages.append(f"size check failed: n={g.n}, d={g.d}")
     regular = all(len(row) == g.d for row in g.neighbors) and len(g.neighbors) == g.n
-    if not regular:
-        messages.append("some vertex does not have exactly d neighbor slots")
     mult: Counter[tuple[int, int]] = Counter()
     in_range = True
     for v, row in enumerate(g.neighbors):
@@ -230,12 +224,8 @@ def validate(g: RegularGraph) -> GraphDiagnostics:
     symmetric = in_range and all(
         mult[(v, u)] == mult[(u, v)] for (v, u) in list(mult)
     )
-    if not symmetric:
-        messages.append("adjacency is not symmetric with multiplicity")
     connected = in_range and _connected(g)
-    if not connected:
-        messages.append("graph is not connected")
-    return GraphDiagnostics(size_ok, regular, symmetric, connected, tuple(messages))
+    return GraphDiagnostics(size_ok, regular, symmetric, connected)
 
 
 def parse_graph_spec(spec: str) -> RegularGraph:

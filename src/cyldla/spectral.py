@@ -121,9 +121,9 @@ def fast_mixing_threshold(n: int) -> float:
 def check_fast_mixing(n: int, mixing_time: int) -> BoundCheck:
     """Verdict on mixing_time <= log^2(n)/(loglog n)^5.
 
-    This documents which bases meet the fast-mixing hypothesis used by the
-    growth-rate dashboard; at desk scale most do not, and the verdict is
-    informational.
+    This documents which bases meet the fast-mixing hypothesis of the
+    growth-rate bound; ``cyldla mixing`` prints it.  At desk scale most
+    bases do not, and the verdict is informational.
     """
     if not isinstance(mixing_time, int):
         raise ValueError(f"mixing_time must be a computed int, got {mixing_time!r}")
@@ -134,7 +134,6 @@ def check_fast_mixing(n: int, mixing_time: int) -> BoundCheck:
         bound_value=thr,
         direction="<=",
         estimate=float(mixing_time),
-        ci=0.0,
         verdict=verdict,
         applicability="asymptotic hypothesis; no finite-size calibration is claimed",
     )
@@ -161,7 +160,6 @@ class PathCount:
     count: int
     bound: float
     log_bound: float
-    fractions: tuple[float, ...]
 
 
 def count_constrained_paths(g: RegularGraph, sets) -> PathCount:
@@ -209,7 +207,7 @@ def count_constrained_paths(g: RegularGraph, sets) -> PathCount:
         raise RuntimeError(
             f"exact path count {total} exceeds spectral bound {bound} on {g.label}"
         )
-    return PathCount(total, bound, log_bound if not degenerate else -math.inf, fracs)
+    return PathCount(total, bound, log_bound if not degenerate else -math.inf)
 
 
 def avoidance_frequency(g: RegularGraph, sets, trials: int, seed) -> EstimateSummary:

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 CI95_MULTIPLIER = 1.96
 BOUND_SIGMAS = 3.0
@@ -43,12 +42,12 @@ class BoundCheck:
     """Verdict of an estimate against a one-sided bound.
 
     ``direction`` is the relation the estimate is expected to satisfy
-    against ``bound_value`` ("<=" or ">=").  ``ci`` is the margin used for
-    the verdict (``BOUND_SIGMAS`` standard errors).  Verdicts:
+    against ``bound_value`` ("<=" or ">=").  The verdict's margin is
+    ``BOUND_SIGMAS`` standard errors of the estimate.  Verdicts:
 
-    - ``pass``: the bound holds with margin > ci;
+    - ``pass``: the bound holds with more than the margin;
     - ``inconclusive-within-ci``: consistent with the bound at the margin;
-    - ``fail``: the bound is violated by more than ci.
+    - ``fail``: the bound is violated by more than the margin.
 
     ``applicability`` carries caveats for bounds whose hypotheses contain
     uncalibrated constants; it never affects the verdict.
@@ -58,7 +57,6 @@ class BoundCheck:
     bound_value: float
     direction: str
     estimate: float
-    ci: float
     verdict: str
     applicability: str | None = None
 
@@ -92,13 +90,12 @@ def make_bound_check(
             verdict = "fail"
         else:
             verdict = "inconclusive-within-ci"
-    return BoundCheck(name, bound_value, direction, est, ci, verdict, applicability)
+    return BoundCheck(name, bound_value, direction, est, verdict, applicability)
 
 
 @dataclass(frozen=True)
 class Chi2Result:
     statistic: float
-    df: int
     p_value: float
     categories: tuple
     collapsed: bool
@@ -109,8 +106,11 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict) -> Chi2Result:
 
     Categories whose combined count is below 10 are merged into a single
     rest bucket so every cell has a usable expectation; the
-    ``collapsed`` flag reports whether merging happened.
+    ``collapsed`` flag reports whether merging happened.  ``scipy.special``
+    is imported here, so that importing the package loads no scipy.
     """
+    from scipy.special import chdtrc
+
     keys = sorted(set(counts_a) | set(counts_b), key=lambda k: (-(counts_a.get(k, 0) + counts_b.get(k, 0)), repr(k)))
     kept, rest_a, rest_b = [], 0, 0
     for k in keys:
@@ -143,6 +143,6 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict) -> Chi2Result:
         stat += (ca - ea) ** 2 / ea + (cb - eb) ** 2 / eb
         df += 1
     df = max(df - 1, 1)
-    p = float(chi2.sf(stat, df))
+    p = float(chdtrc(df, stat))
     cats = tuple(kept) + (("<rest>",) if collapsed else ())
-    return Chi2Result(float(stat), df, p, cats, collapsed)
+    return Chi2Result(float(stat), p, cats, collapsed)

@@ -157,14 +157,6 @@ def _check_first_passage_sampler(seed: int) -> CheckResult:
     return CheckResult("first-passage-sampler", True, "tail identity and pmf agree")
 
 
-def _check_simulation_determinism(seed: int) -> CheckResult:
-    params = walk1d.LazyWalkParams(0.7)
-    a = walk1d.simulate_lazy_walks(params, 500, 1, seed)[0]
-    b = walk1d.simulate_lazy_walks(params, 500, 1, seed)[0]
-    ok = bool(np.array_equal(a, b))
-    return CheckResult("lazy-walk-determinism", ok, "same seed, same path")
-
-
 def walk1d_checks(seed: int) -> list[CheckResult]:
     return [
         _check_ballot_enumeration(),
@@ -175,7 +167,6 @@ def walk1d_checks(seed: int) -> list[CheckResult]:
         _check_lazy_variance(seed),
         _check_zeros_constant(seed),
         _check_first_passage_sampler(seed),
-        _check_simulation_determinism(seed),
     ]
 
 

@@ -19,9 +19,9 @@ from cyldla import cli, dla, walk1d
 from cyldla.cylinder import long_excursion_frequency
 from cyldla.experiment import (
     ExperimentConfig,
-    bound_dashboard,
     estimate_density,
     estimate_new_layer_probability,
+    fit_growth_exponent,
 )
 from cyldla.graphs import (
     make_complete,
@@ -239,21 +239,24 @@ def test_criterion_11_lazy_walk_bounds():
         c.note(f"running-max tails within 1/beta + 3se; zeros constant C={const:.1f} validated")
 
 
-def test_criterion_12_bound_dashboard_family():
+def test_criterion_12_growth_rate_family():
     with criterion(12, 600.0) as c:
-        dash = bound_dashboard(
-            ["complete:8", "complete:16", "complete:32"], m=5, replicas=30, base_seed=12
-        )
-        for row in dash.rows:
-            assert row.fast_mixing.applicability  # caveat emitted, never silently asserted
-            assert row.growth.pathwise_monotone  # T_m strictly increasing in every replica
-            for est in row.growth.per_layer:
+        specs = ["complete:8", "complete:16", "complete:32"]
+        family = fit_growth_exponent(specs, m=5, replicas=30, base_seed=12)  # as `fit-gamma`
+        for spec, base in zip(specs, family.bases):
+            assert base.pathwise_monotone  # T_m strictly increasing in every replica
+            for est in base.per_layer:
                 upper = [b for b in est.bound_checks if "4mn" in b.name][0]
                 assert upper.applicability is not None
-        fit = dash.gamma_fit
+            code, _, err = _run_cli_captured(["mixing", spec])
+            assert code == 0
+            fast = [line for line in err.splitlines() if "fast-mixing-hypothesis" in line]
+            # caveat emitted, never silently asserted
+            assert len(fast) == 1 and "no finite-size calibration" in fast[0]
+        fit = family.gamma_fit
         assert math.isfinite(fit.gamma) and math.isfinite(fit.residual_norm)
         c.note(
-            f"dashboard on K8/K16/K32 with caveats; pathwise T_m monotone; "
+            f"T_m bound checks on K8/K16/K32 with caveats; pathwise T_m monotone; "
             f"gamma={fit.gamma:.3f} residual={fit.residual_norm:.3f}"
         )
 

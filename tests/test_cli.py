@@ -288,13 +288,42 @@ def test_loop_graph_snapshot_is_saved_but_not_rendered(tmp_path, capsys):
 
 
 def test_fit_gamma_cli(capsys):
-    code, out, _ = run_cli(
-        capsys, "fit-gamma", "complete:8", "complete:16", "complete:32",
-        "--layers", "3", "--replicas", "4", "--seed", "2",
+    import numpy as np
+
+    from cyldla import dla
+    from cyldla.experiment import run_replicas
+
+    specs =["complete:8", "complete:16", "complete:32"]
+    code, out, err = run_cli(
+        capsys, "fit-gamma", *specs, "--layers", "3", "--replicas", "4", "--seed", "2",
     )
     assert code == 0
     assert out.startswith("gamma=")
     assert "residual_norm=" in out
+    points = [line for line in out.splitlines() if line.startswith("point ")]
+    assert len(points) == 3
+    for i, (spec, line) in enumerate(zip(specs, points)):
+        clusters = run_replicas(parse_graph_spec(spec), 3, 4, 2 + i, dla.DEFAULT_STEP_CAP)
+        mean = float(np.mean([c.first_reach[3] for c in clusters]))
+        assert line == f"point n={int(spec[9:])} T_over_m={mean / 3!r}"
+        upper = [l for l in err.splitlines() if l.startswith(f"# {spec} T_3-upper-4mn")]
+        assert len(upper) == 1
+        assert " -> " in upper[0] and "uncalibrated size threshold" in upper[0]
+        assert f"# {spec}: T_3 estimate {mean!r}" in err
+    assert err.count("pathwise_monotone=True") == 3
+
+
+def test_mixing_prints_fast_mixing_verdict(capsys):
+    code, out, err = run_cli(capsys, "mixing", "complete:8")
+    assert code == 0 and out.splitlines()[-1].endswith(",1")
+    fast = [l for l in err.splitlines() if l.startswith("# fast-mixing-hypothesis:")]
+    assert len(fast) == 1
+    assert fast[0].startswith("# fast-mixing-hypothesis: estimate 1.0 <= ")
+    assert "-> pass (asymptotic hypothesis" in fast[0]
+    code, out, err = run_cli(capsys, "mixing", "cycle:30", "--cap", "3")
+    assert code == 0 and out.splitlines()[-1].endswith(",exceeded-cap")
+    assert "# fast-mixing-hypothesis: not decided" in err
+    assert "-> " not in err
 
 
 def test_env_seed_default(monkeypatch, capsys):

@@ -7,7 +7,6 @@ import pytest
 from cyldla import dla
 from cyldla.experiment import (
     ExperimentConfig,
-    bound_dashboard,
     estimate_T,
     estimate_density,
     estimate_new_layer_probability,
@@ -17,7 +16,7 @@ from cyldla.experiment import (
     run_replicas,
     run_sweep,
 )
-from cyldla.graphs import make_complete, make_cycle
+from cyldla.graphs import make_complete, make_cycle, parse_graph_spec
 
 
 def _quiet_config(**kw):
@@ -46,8 +45,7 @@ def test_config_warns_on_large_overshoot():
 
 
 def test_estimate_T_first_layer_exact():
-    cfg = _quiet_config(graph_spec="cycle:6", target_layers=(1,), replicas=10, base_seed=1)
-    res = estimate_T(cfg)
+    res = estimate_T(make_cycle(6), (1,), replicas=10, base_seed=1, cap=dla.DEFAULT_STEP_CAP)
     est = res.per_layer[0]
     assert est.summary.mean == 1.0 and est.summary.std_error == 0.0
     lower = [c for c in est.bound_checks if c.name.endswith("trivial-lower")][0]
@@ -55,10 +53,9 @@ def test_estimate_T_first_layer_exact():
 
 
 def test_estimate_T_transitive_bound_and_monotonicity():
-    cfg = _quiet_config(
-        graph_spec="cycle:4", target_layers=tuple(range(1, 7)), replicas=60, base_seed=2
+    res = estimate_T(
+        make_cycle(4), range(1, 7), replicas=60, base_seed=2, cap=dla.DEFAULT_STEP_CAP
     )
-    res = estimate_T(cfg)
     assert res.pathwise_monotone
     for est in res.per_layer:
         transitive = [c for c in est.bound_checks if "transitive" in c.name]
@@ -119,12 +116,30 @@ def test_fit_gamma_self_tests():
         fit_gamma([8, 16], [8.0, 16.0])
 
 
+def test_estimate_T_rejects_empty_targets_and_replicas():
+    with pytest.raises(ValueError):
+        estimate_T(make_cycle(6), (), replicas=2, base_seed=0, cap=dla.DEFAULT_STEP_CAP)
+    with pytest.raises(ValueError):
+        estimate_T(make_cycle(6), (0, 2), replicas=2, base_seed=0, cap=dla.DEFAULT_STEP_CAP)
+    with pytest.raises(ValueError):
+        estimate_T(make_cycle(6), (2,), replicas=0, base_seed=0, cap=dla.DEFAULT_STEP_CAP)
+
+
 def test_fit_growth_exponent_runs():
-    fit = fit_growth_exponent(
-        ["complete:8", "complete:16", "complete:32"], m=3, replicas=6, base_seed=10
-    )
+    specs = ["complete:8", "complete:16", "complete:32"]
+    family = fit_growth_exponent(specs, m=3, replicas=6, base_seed=10)
+    fit = family.gamma_fit
     assert math.isfinite(fit.gamma) and math.isfinite(fit.residual_norm)
     assert fit.ns == (8, 16, 32)
+    assert len(family.bases) == 3
+    for i, (spec, base) in enumerate(zip(specs, family.bases)):
+        assert base.pathwise_monotone
+        assert [est.m for est in base.per_layer] == [1, 2, 3]
+        alone = estimate_T(
+            parse_graph_spec(spec), (3,), replicas=6, base_seed=10 + i, cap=dla.DEFAULT_STEP_CAP
+        )
+        assert np.array_equal(base.per_layer[-1].samples, alone.per_layer[0].samples)
+    assert fit.t_over_m == tuple(b.per_layer[-1].summary.mean / 3 for b in family.bases)
     with pytest.raises(ValueError):
         fit_growth_exponent(["complete:8", "complete:16"], m=3, replicas=2, base_seed=0)
 
@@ -177,14 +192,3 @@ def test_run_sweep_requires_output_dir():
     cfg = _quiet_config(graph_spec="cycle:5", target_layers=(2,), replicas=1, base_seed=0)
     with pytest.raises(ValueError):
         run_sweep(cfg)
-
-
-def test_bound_dashboard_family():
-    dash = bound_dashboard(
-        ["complete:8", "complete:16", "complete:32"], m=3, replicas=5, base_seed=13
-    )
-    assert len(dash.rows) == 3
-    for row in dash.rows:
-        assert row.fast_mixing.applicability
-        assert row.growth.pathwise_monotone
-    assert math.isfinite(dash.gamma_fit.gamma)

@@ -80,3 +80,38 @@ def test_chi_square_calibration_under_null():
         if chi_square_two_sample(a, b).p_value < 0.05:
             low += 1
     assert 2 <= low <= 35  # roughly 5% of 300
+
+
+def test_chi_square_p_value_is_the_chi2_survival_function():
+    from scipy.stats import chi2
+
+    a = {"x": 40, "y": 25, "z": 12, "w": 3}
+    b = {"x": 30, "y": 35, "z": 9, "w": 6}
+    res = chi_square_two_sample(a, b)
+    assert res.p_value == float(chi2.sf(res.statistic, len(res.categories) - 1))
+
+
+def test_import_and_growth_load_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import cyldla\n"
+        "c = cyldla.new_cluster(cyldla.parse_graph_spec('cycle:16'))\n"
+        "cyldla.grow(c, np.random.default_rng(0), particles=50)\n"
+        "assert c.t == 50\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ SIMULATE_DIGESTS = {
     "probes.csv": "bbce856894bd0be23769c0ba5462cd0f321ad13361849a20833c3fc17dbe8209",
 }
 GROW_SNAPSHOT_DIGEST = "ebe699674ce05cd37cfe020d2459d664a3c1475cc87cb27f433578a836a53f23"
-VERIFY_ALL_SEED_1_DIGEST = "f74af48df69403979a0927187884a00755385dbfd3b41120e1aa7e518463514e"
+VERIFY_ALL_SEED_1_DIGEST = "24eddf391e53d22f8b054eda217d71702007a0fa13ab7187da80a848a4bc8eaa"
 
 
 def _sha256(path) -> str:
