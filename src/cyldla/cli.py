@@ -28,6 +28,7 @@ from .experiment import (
     estimate_density,
     fit_growth_exponent,
     growth_csv_rows,
+    run_replicas,
     run_sweep,
 )
 from .graphs import add_self_loops, edge_list_lines, parse_graph_spec, validate
@@ -156,8 +157,11 @@ def cmd_simulate(args) -> int:
         if outputs.probes_csv:
             print(f"wrote {outputs.probes_csv}")
         return EXIT_OK
-    result = estimate_density(config)
-    _emit(csv_lines(config.config_hash(), "replica,m,T_m", growth_csv_rows(result)), None)
+    # T_m reads only the stream prefix up to layer m, so no overshoot is grown
+    graph = parse_graph_spec(args.spec)
+    clusters = run_replicas(graph, args.layers, args.replicas, args.seed, args.cap)
+    rows = growth_csv_rows(clusters, config.target_layers)
+    _emit(csv_lines(config.config_hash(), "replica,m,T_m", rows), None)
     return EXIT_OK
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .graphs import RegularGraph
-from .spectral import bipartite_like
 from .stats import BoundCheck, EstimateSummary, make_bound_check
 from .walk1d import sample_first_passage_moves
 
@@ -95,11 +95,12 @@ class GTransitionSampler:
     * other non-bipartite bases step literally below ``uniform_cut`` and
       draw a uniform vertex from there on.  ``uniform_cut`` is the least
       gamma with 1/2 sqrt(n) lambda^gamma <= 1e-14, a bound on the total
-      variation distance of the row from uniform, where lambda is the
-      largest |eigenvalue| of P other than 1;
-    * other bipartite bases step literally up to ``_DIRECT_HOP_LIMIT`` moves
-      and beyond take one eigenvector row of P^gamma from the graph's cached
-      decomposition (``g.walk_spectrum``), which keeps parity.
+      variation distance of the row from uniform, where lambda is
+      ``eigen_profile(g).lam``, the largest |eigenvalue| of P other than 1;
+    * other bases with lambda = 1 (bipartite) step literally up to
+      ``_DIRECT_HOP_LIMIT`` moves and beyond take one eigenvector row of
+      P^gamma from the graph's cached decomposition (``g.walk_spectrum``),
+      which keeps parity.
     """
 
     def __init__(self, g: RegularGraph):
@@ -117,15 +118,13 @@ class GTransitionSampler:
                 stride *= side
             self._lattice_dims = tuple(dims)
             return
-        w, u = g.walk_spectrum
-        self._w = w
-        self._u = u
-        others = np.abs(w[:-1])
-        lam = float(others.max()) if others.size else 0.0
-        if not bipartite_like(w[0]) and lam < 1.0:
+        lam = spectral.eigen_profile(g).lam
+        if lam < 1.0:
             self.uniform_cut = 1 if lam == 0.0 else math.ceil(
                 (math.log(_UNIFORM_TV_CUT) - math.log(0.5 * math.sqrt(g.n))) / math.log(lam)
             )
+        else:
+            self._w, self._u = g.walk_spectrum
 
     def sample(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         if gamma <= 0:

@@ -401,10 +401,10 @@ def _write_csv(path: str, config_hash: str, header: str, rows) -> None:
         fh.write("\n".join(csv_lines(config_hash, header, rows)) + "\n")
 
 
-def growth_csv_rows(result: DensityResult) -> list[tuple]:
-    """Schema-A rows (replica, m, T_m) from a density run."""
-    targets = sorted(result.config.target_layers)
-    return [(r, m, c.first_reach[m]) for r, c in enumerate(result.clusters) for m in targets]
+def growth_csv_rows(clusters, target_layers) -> list[tuple]:
+    """Schema-A rows (replica, m, T_m) from clusters in replica order."""
+    targets = sorted(target_layers)
+    return [(r, m, c.first_reach[m]) for r, c in enumerate(clusters) for m in targets]
 
 
 def density_csv_rows(result: DensityResult) -> list[tuple]:
@@ -445,7 +445,8 @@ def run_sweep(config: ExperimentConfig) -> SweepOutputs:
     probes_path = os.path.join(config.output_dir, "probes.csv")
     written = []
     try:
-        _write_csv(growth_path, chash, "replica,m,T_m", growth_csv_rows(result))
+        growth_rows = growth_csv_rows(result.clusters, config.target_layers)
+        _write_csv(growth_path, chash, "replica,m,T_m", growth_rows)
         written.append(growth_path)
         _write_csv(density_path, chash, "replica,m,phi,D_m", density_csv_rows(result))
         written.append(density_path)

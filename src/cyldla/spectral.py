@@ -9,7 +9,6 @@ import numpy as np
 from .graphs import RegularGraph
 from .stats import BoundCheck, EstimateSummary
 
-DENSE_EIG_CUTOFF = 4096
 EIG_TOL = 1e-9
 PATH_BOUND_RTOL = 1e-9
 MIN_ENTRY_SLACK = 1e-12
@@ -19,9 +18,10 @@ MIN_ENTRY_SLACK = 1e-12
 class SpectralProfile:
     """Spectrum of the uniform-slot walk P = A/d on one graph.
 
-    ``lam`` is the largest absolute eigenvalue after removing one copy of
-    the top eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0:
-    a smallest eigenvalue within ``EIG_TOL`` of -1 counts as exactly -1.
+    ``eigenvalues`` is the full spectrum in descending order.  ``lam`` is
+    the largest absolute eigenvalue after removing one copy of the top
+    eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0: a smallest
+    eigenvalue within ``EIG_TOL`` of -1 counts as exactly -1.
     """
 
     n: int
@@ -32,51 +32,40 @@ class SpectralProfile:
 
 
 def eigen_profile(g: RegularGraph) -> SpectralProfile:
-    """Spectrum of P = A/d, read from ``g.walk_spectrum`` up to ``DENSE_EIG_CUTOFF``.
+    """Full spectrum of P = A/d, exact at every size.
 
-    Beyond the cutoff, the second eigenvalue is found by power iteration on
-    the uniform-deflated matrix to tolerance 1e-9 and the eigenvalue list is
-    truncated to the known extremes.
+    Lattice bases take the closed form of :func:`_character_spectrum`; other
+    bases read ``g.walk_spectrum``, the graph's one dense ``eigh`` (O(n^2)
+    memory), which the excursion sampler also reads on such bases.
     """
-    if g.n <= DENSE_EIG_CUTOFF:
-        w = g.walk_spectrum[0][::-1]
-        if abs(w[0] - 1.0) > EIG_TOL:
-            raise RuntimeError(f"top eigenvalue {w[0]} differs from 1 beyond tolerance")
-        if bipartite_like(w[-1]):
-            lam = 1.0
-        else:
-            lam = min(float(np.max(np.abs(w[1:]))), 1.0) if g.n > 1 else 0.0
-        return SpectralProfile(g.n, g.d, tuple(float(x) for x in w), lam, 1.0 - lam)
-    lam_signed = _deflated_power_iteration(g)
-    lam = min(abs(lam_signed), 1.0)
-    return SpectralProfile(g.n, g.d, (1.0, float(lam_signed)), lam, 1.0 - lam)
+    w = _character_spectrum(g) if g.lattice is not None else g.walk_spectrum[0]
+    w = np.sort(w)[::-1]
+    if abs(w[0] - 1.0) > EIG_TOL:
+        raise RuntimeError(f"top eigenvalue {w[0]} differs from 1 beyond tolerance")
+    if bipartite_like(w[-1]):
+        lam = 1.0
+    else:
+        lam = min(float(np.max(np.abs(w[1:]))), 1.0) if g.n > 1 else 0.0
+    return SpectralProfile(g.n, g.d, tuple(w.tolist()), lam, 1.0 - lam)
+
+
+def _character_spectrum(g: RegularGraph) -> np.ndarray:
+    """Eigenvalues of A/d on a lattice base, one per character of its group.
+
+    The base is the Cayley graph of the product of cyclic groups Z_side, so
+    the character j (indexed like the vertices, by mixed-radix coordinates
+    j_k) has eigenvalue (1/d) sum_s cos(2 pi sum_k j_k step_s[k] / side_k).
+    Each phase term is reduced mod 1 in integers first.  No n x n matrix.
+    """
+    sides, steps = g.lattice
+    coords = np.arange(g.n)[:, None] // np.cumprod((1,) + sides[:-1]) % sides
+    w = sum(np.cos(2.0 * np.pi * (coords * step % sides / sides).sum(axis=1)) for step in steps)
+    return w / g.d
 
 
 def bipartite_like(smallest_eigenvalue: float) -> bool:
     """Whether the walk's smallest eigenvalue is -1 up to ``EIG_TOL``."""
     return bool(smallest_eigenvalue <= -1.0 + EIG_TOL)
-
-
-def _deflated_power_iteration(g: RegularGraph) -> float:
-    nbrs = np.array(g.neighbors, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    v = rng.standard_normal(g.n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(200_000):
-        w = np.add.reduce(v[nbrs], axis=1) / g.d
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        ray = float(w @ (np.add.reduce(w[nbrs], axis=1) / g.d))
-        if abs(ray - prev) < EIG_TOL:
-            return ray
-        prev = ray
-        v = w
-    return prev
 
 
 def lazy_transition_matrix(g: RegularGraph) -> np.ndarray:
@@ -87,18 +76,22 @@ def lazy_transition_matrix(g: RegularGraph) -> np.ndarray:
 def mixing_time(g: RegularGraph, cap: int) -> int | None:
     """Least t such that every entry of P_lazy^t is >= 1/(2n), or None.
 
-    The row-wise minimum entry of P_lazy^t is non-decreasing in t (each
-    entry of the next power is an average, with column sums 1, of current
-    entries), so the first t found also satisfies the condition for every
-    s >= t.  That monotonicity is asserted during the iteration.
+    Rows of P_lazy^t take one lazy step at a time through the neighbor
+    slots, b <- (b + sum_s b[:, nbrs[:, s]]) / (d + 1), which is b @ P_lazy
+    for the symmetric slot adjacency.  A lattice base is a Cayley graph, so
+    every row is a translate of row 0 and row 0 alone is carried; other bases
+    carry all n rows.  The minimum entry is non-decreasing in t (each entry
+    of the next power is an average of current entries), so the first t
+    found holds for every s >= t; that monotonicity is asserted.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    p = lazy_transition_matrix(g)
+    nbrs = np.array(g.neighbors, dtype=np.intp)
+    b = np.eye(1 if g.lattice is not None else g.n, g.n)
     threshold = 1.0 / (2 * g.n)
-    b = p.copy()
     prev_min = -1.0
     for t in range(1, cap + 1):
+        b = (b + sum(b[:, col] for col in nbrs.T)) / (g.d + 1)
         cur_min = float(b.min())
         if cur_min < prev_min - MIN_ENTRY_SLACK:
             raise RuntimeError(
@@ -107,7 +100,6 @@ def mixing_time(g: RegularGraph, cap: int) -> int | None:
         prev_min = cur_min
         if cur_min >= threshold - MIN_ENTRY_SLACK:
             return t
-        b = b @ p
     return None
 
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cyldla import cli
+from cyldla import cli, dla
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
@@ -114,6 +114,24 @@ def test_simulate_stdout_mode(capsys):
     lines = out.splitlines()
     assert lines[1] == "replica,m,T_m"
     assert len(lines) == 2 + 2 * 3
+
+
+@pytest.mark.parametrize("spec", ["cycle:16", "random:40:3:seed=2"])
+def test_simulate_stdout_equals_growth_csv(tmp_path, capsys, monkeypatch, spec):
+    targets = []
+
+    def spy(cluster, rng, *, target_layer, cap):
+        targets.append(target_layer)
+        return real_grow(cluster, rng, target_layer=target_layer, cap=cap)
+
+    real_grow = dla.grow
+    monkeypatch.setattr(dla, "grow", spy)
+    args = ["simulate", spec, "--layers", "6", "--replicas", "5", "--seed", "4"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and targets == [6] * 5  # no density overshoot is grown
+    code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path))
+    assert code == 0 and min(targets[5:]) > 6
+    assert out == (tmp_path / "growth.csv").read_text()
 
 
 def test_density_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyldla import dla, experiment, spectral
+from cyldla import cli, dla, experiment
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
@@ -14,7 +14,7 @@ from cyldla.graphs import (
     parse_graph_spec,
 )
 from cyldla.spectral import (
-    DENSE_EIG_CUTOFF,
+    MIN_ENTRY_SLACK,
     avoidance_bound,
     avoidance_frequency,
     bipartite_like,
@@ -59,13 +59,33 @@ def test_eigenvalues_bounded_and_trace():
         assert sum(prof.eigenvalues) == pytest.approx(g.loop_count() / g.d, abs=1e-6)
 
 
-def test_power_iteration_fallback_matches_dense(monkeypatch):
-    g = make_torus(5, 2)
-    dense = eigen_profile(g)
-    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 4)
-    power = eigen_profile(g)
-    assert power.lam == pytest.approx(dense.lam, abs=1e-6)
-    assert len(power.eigenvalues) == 2
+LATTICE_SPECS = (
+    [f"cycle:{n}" for n in range(3, 40)]
+    + ["cycle:500", "cycle:501"]
+    + [f"torus:{s}x{s}" for s in range(3, 8)]
+    + [f"torus:{s}x{s}x{s}" for s in range(3, 8)]
+    + [f"hypercube:{k}" for k in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_lattice_characters_match_dense_eigh(spec):
+    g = parse_graph_spec(spec)
+    dense = np.linalg.eigh(g.transition_matrix())[0][::-1]
+    prof = eigen_profile(g)
+    assert "walk_spectrum" not in g.__dict__
+    assert len(prof.eigenvalues) == g.n and prof.eigenvalues[0] == 1.0
+    assert np.abs(np.array(prof.eigenvalues) - dense).max() <= 1e-12
+    bipartite = bipartite_like(dense[-1])
+    assert bipartite == bipartite_like(prof.eigenvalues[-1])
+    expected = 1.0 if bipartite else float(np.abs(dense[1:]).max())
+    assert abs(prof.lam - expected) <= 1e-12 and (prof.lam == 1.0) == bipartite
+
+
+def test_large_cycle_lambda_is_exact():
+    prof = eigen_profile(make_cycle(5001))
+    assert abs(prof.lam - math.cos(math.pi / 5001)) <= 1e-12
+    assert len(prof.eigenvalues) == 5001
 
 
 def test_walk_spectrum_is_cached_and_read_only():
@@ -108,21 +128,26 @@ def test_one_decomposition_per_graph(monkeypatch):
     )
     result = experiment.estimate_density(config)
     g = result.graph
-    assert all(c._kernel._u is g.walk_spectrum[1] for c in result.clusters)
+    # a non-bipartite base: each sampler reads lambda and no eigenvectors
+    assert all(c._kernel.uniform_cut == 533 for c in result.clusters)
+    assert not any(hasattr(c._kernel, "_u") for c in result.clusters)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
     assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
-def test_no_dense_eigendecomposition_on_lattice_bases(monkeypatch):
+def test_no_dense_eigendecomposition_on_lattice_bases(monkeypatch, capsys):
     calls = _count_eigen_calls(monkeypatch)
     g = parse_graph_spec("torus:20x20x20")
-    assert g.n == 8000 > DENSE_EIG_CUTOFF
     cluster = dla.new_cluster(g)
     dla.grow(cluster, np.random.default_rng(4), particles=100)
     assert cluster.t == 100 and cluster.M >= 3  # drops above layer 1 walk and fast-forward
     assert calls == {"eigh": 0, "eigvalsh": 0}
     assert "walk_spectrum" not in g.__dict__
+    assert cli.main(["spectra", "torus:20x20x20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "8000,6,1.0,0.0,"
+    assert cli.main(["density", "cycle:12", "--layers", "3", "--phi", "1", "--replicas", "2"]) == 0
+    assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
 BIPARTITE_SPECS = (
@@ -168,6 +193,27 @@ def test_mixing_q3_finite_despite_bipartite():
     t = mixing_time(make_hypercube(3), 500)
     assert isinstance(t, int) and t >= 1
     assert t == _exact_lazy_mixing(make_hypercube(3), 500)
+
+
+def _dense_mixing(g, cap):
+    p = lazy_transition_matrix(g)
+    b = p.copy()
+    for t in range(1, cap + 1):
+        if b.min() >= 1.0 / (2 * g.n) - MIN_ENTRY_SLACK:
+            return t
+        b = b @ p
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cycle:4", "cycle:5", "cycle:31", "cycle:64", "torus:5x5", "torus:7x7", "torus:4x4x4",
+     "hypercube:3", "hypercube:6", "random:40:3:seed=2", "random:100:4:seed=7", "complete:16"],
+)
+def test_mixing_time_equals_dense_powers(spec):
+    g = parse_graph_spec(spec)
+    assert mixing_time(g, 2000) == _dense_mixing(g, 2000) is not None
+    assert mixing_time(add_self_loops(g), 2000) == _dense_mixing(add_self_loops(g), 2000)
 
 
 def test_mixing_cap_sentinel():
