@@ -116,6 +116,16 @@ def test_simulate_stdout_mode(capsys):
     assert len(lines) == 2 + 2 * 3
 
 
+def test_simulate_stdout_mode_has_no_overshoot_warning(tmp_path, capsys):
+    # stdout mode grows no overshoot and reads no density; --out does both
+    args = ["simulate", "cycle:6", "--layers", "3", "--replicas", "2", "--seed", "3"]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0 and "overshoot" not in err
+    code, _, err = run_cli(capsys, *args, "--out", str(tmp_path))
+    assert code == 0
+    assert "# warning: overshoot 12 exceeds half the largest target layer" in err
+
+
 @pytest.mark.parametrize("spec", ["cycle:16", "random:40:3:seed=2"])
 def test_simulate_stdout_equals_growth_csv(tmp_path, capsys, monkeypatch, spec):
     targets = []

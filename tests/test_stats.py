@@ -100,6 +100,7 @@ def test_import_and_growth_load_no_scipy():
         "import sys\n"
         "import numpy as np\n"
         "import cyldla\n"
+        "import cyldla.cli, cyldla.oracles, cyldla.verify\n"
         "c = cyldla.new_cluster(cyldla.parse_graph_spec('cycle:16'))\n"
         "cyldla.grow(c, np.random.default_rng(0), particles=50)\n"
         "assert c.t == 50\n"
