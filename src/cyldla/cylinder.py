@@ -20,13 +20,19 @@ it is built from and checked against:
   exact routes: slot counts on lattice bases, literal hops up to a TV cut and
   then a uniform draw on other non-bipartite bases, and an eigenvector row of
   P^gamma on other bipartite bases;
+* the exit law of the fair walk on Z x Z from the centre of an empty
+  (2R+1) x (2R+1) box (:func:`box_table`), with which the walker crosses
+  empty space on cycle bases in one draw;
 * a vectorized skeleton simulation of independent excursions
   (:func:`long_excursion_frequency`), an independent route to the same
   excursion law.
 """
 from __future__ import annotations
 
+import functools
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,7 @@ DEFAULT_EXCURSION_CAP = 1_000_000
 DEFAULT_START_OFFSET = 1_000_000
 _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
+BOX_RADIUS = 10
 
 
 # --- exact excursion-shape sampling ------------------------------------------
@@ -76,9 +83,22 @@ def sample_excursion_shape(rng: np.random.Generator, vertical_prob: float) -> tu
     binomial with ``V`` successes at ``vertical_prob``.  The total can be
     astronomically large; no cap is applied here.
     """
-    v = sample_first_passage_moves(rng)
-    gamma = sample_negative_binomial(rng, v, vertical_prob)
+    v, gamma = sample_return_shape(rng, 1, vertical_prob)
     return 1 + v, gamma, 1 + v + gamma
+
+
+def sample_return_shape(rng: np.random.Generator, height: int, vertical_prob: float) -> tuple[int, int]:
+    """Draw (vertical_moves, g_moves) of a walk's first return from ``height`` layers up.
+
+    The vertical moves form a fair +-1 walk, so the moves it needs to first
+    come down ``height`` layers are a sum of ``height`` independent
+    first-passage draws ``V``, and g_moves is negative binomial with ``V``
+    successes at ``vertical_prob``, as in :func:`sample_excursion_shape`.
+    """
+    v = 0
+    for _ in range(height):
+        v += sample_first_passage_moves(rng)
+    return v, sample_negative_binomial(rng, v, vertical_prob)
 
 
 class GTransitionSampler:
@@ -161,6 +181,98 @@ class GTransitionSampler:
             return int(rng.integers(0, self.graph.n))
         cdf = np.cumsum(row / total)
         return int(np.searchsorted(cdf, rng.random(), side="right"))
+
+
+# --- exact box jumps ------------------------------------------------------------
+
+
+class BoxTable:
+    """Exit law of the fair walk on Z x Z from the centre of a (2R+1)^2 box.
+
+    Each step moves up, down, left or right with probability 1/4.  Entry i
+    is the event that the walk first reaches L-infinity distance R after
+    ``steps[i]`` steps, at offset (``dx[i]``, ``dz[i]``), having reached
+    ``low[i]`` as its lowest vertical offset (exit point included).  A walk
+    still inside after ``t_max`` = 2R^2 steps is an entry too, at its
+    interior offset with ``steps`` = t_max; its walk goes on from there.
+    ``cdf`` holds the cumulative probabilities divided by their total
+    ``mass`` (1 up to rounding), and :meth:`draw` inverts it with one
+    uniform.  Build one with :func:`build_box_table`.
+    """
+
+    def __init__(self, radius: int):
+        self.radius = radius
+        self.t_max = 2 * radius * radius
+        self.steps = array("h")
+        self.dx = array("b")
+        self.dz = array("b")
+        self.low = array("b")
+        self.cdf = array("d")
+        self.mass = 0.0
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int, int, int]:
+        """One (steps, dx, dz, low) from the exit law."""
+        i = bisect_right(self.cdf, rng.random())
+        return self.steps[i], self.dx[i], self.dz[i], self.low[i]
+
+    def _add(self, t: int, x: np.ndarray, z: np.ndarray, low: np.ndarray, prob: np.ndarray) -> None:
+        r = self.radius
+        self.steps.extend(array("h", [t]) * x.size)
+        self.dx.frombytes((x - r).astype(np.int8).tobytes())
+        self.dz.frombytes((z - r).astype(np.int8).tobytes())
+        self.low.frombytes((low - r).astype(np.int8).tobytes())
+        cum = np.cumsum(prob)
+        cum += self.mass
+        self.cdf.frombytes(cum.tobytes())
+        if cum.size:
+            self.mass = float(cum[-1])
+
+
+def build_box_table(radius: int) -> BoxTable:
+    """Iterate the killed walk from the box centre for 2R^2 steps.
+
+    The state is (dx, dz, lowest dz so far) on a (2R+1, 2R+1, R+1) grid of
+    probabilities; mass that reaches the box edge is recorded as an exit at
+    that step and removed.  Every move probability is 1/4, a power of two.
+    Entries are stored as they are found, in arrays, so the build holds no
+    more than the finished table.
+    """
+    r = radius
+    if not 1 <= r <= 60:
+        raise ValueError("box radius must be in [1, 60]: offsets are stored as int8")
+    table = BoxTable(r)
+    side = 2 * r + 1
+    p = np.zeros((side, side, r + 1))  # [dx + r, dz + r, low + r]
+    p[r, r, r] = 1.0
+    edge = np.ones((side, side), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    ex, ez, el = np.nonzero(np.broadcast_to(edge[:, :, None], p.shape))
+    for t in range(1, table.t_max + 1):
+        q = p * 0.25
+        p = np.zeros_like(p)
+        p[1:] += q[:-1]
+        p[:-1] += q[1:]
+        p[:, 1:] += q[:, :-1]
+        down = np.zeros_like(p)
+        down[:, :-1] = q[:, 1:]
+        for j in range(r):  # a walk at its lowest offset sets a new low
+            down[:, j, j] += down[:, j, j + 1]
+            down[:, j, j + 1] = 0.0
+        p += down
+        out = p[ex, ez, el]
+        hit = np.flatnonzero(out)
+        table._add(t, ex[hit], ez[hit], el[hit], out[hit])
+        p[edge] = 0.0
+    sx, sz, sl = np.nonzero(p)
+    table._add(table.t_max, sx, sz, sl, p[sx, sz, sl])
+    np.frombuffer(table.cdf)[:] /= table.mass  # the last entry becomes exactly 1.0
+    return table
+
+
+@functools.cache
+def box_table() -> BoxTable:
+    """The one table at ``BOX_RADIUS``, built at the first box of the process."""
+    return build_box_table(BOX_RADIUS)
 
 
 # --- walk law -----------------------------------------------------------------

@@ -14,10 +14,18 @@ during an excursion above M.  Those excursions are therefore not stepped
 through (their length has infinite mean); instead their exact shape is drawn
 via :func:`cyldla.cylinder.sample_excursion_shape` and the base coordinate is
 advanced in one shot through the exact base kernel
-:class:`cyldla.cylinder.GTransitionSampler`.  The step count kappa still
-reports the full walk length, including fast-forwarded steps.  The step cap
-applies to literally simulated steps; a cap hit aborts the drop with a hard
-error rather than resampling, which would bias the sticking distribution.
+:class:`cyldla.cylinder.GTransitionSampler`.
+
+On cycle bases with at least 2R + 2 vertices (R = ``BOX_RADIUS``) the walk
+also crosses empty space in one draw: where no occupied vertex lies within
+L-infinity distance R, the sticking map says so, and the walk's exit from
+the (2R+1)^2 box around it is drawn from :func:`cyldla.cylinder.box_table`.
+Narrower cycles never fit a box, since every layer below M holds a stick.
+
+The step count kappa still reports the full walk length, including
+fast-forwarded and box steps.  The step cap applies to literally simulated
+steps; a cap hit aborts the drop with a hard error rather than resampling,
+which would bias the sticking distribution.
 
 A snapshot file names its base graph by label and lists the sticks in
 order.  :func:`load_snapshot` only parses it; :func:`cluster_from_snapshot`
@@ -33,12 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import GTransitionSampler, sample_excursion_shape, slot_table, walk_slots
+from .cylinder import (
+    BOX_RADIUS,
+    GTransitionSampler,
+    box_table,
+    sample_excursion_shape,
+    sample_return_shape,
+    slot_table,
+    walk_slots,
+)
 from .graphs import RegularGraph, add_self_loops
 from .stats import BoundCheck, Chi2Result, EstimateSummary, chi_square_two_sample, make_bound_check
 
 DEFAULT_STEP_CAP = 100_000_000
 SNAPSHOT_MAGIC = "cyldla v2"
+BOX = 2  # sticking-map value: a box of radius BOX_RADIUS fits here
 
 
 class CapExceededError(RuntimeError):
@@ -81,7 +98,10 @@ class Cluster:
     and ``stick_log`` records (t, vertex, layer) per particle.
     ``near[z][g]`` is 1 exactly when (g, z) is occupied or has an occupied
     neighbour: (g, z +- 1), or (u, z) for a non-loop base neighbour u.  A
-    free vertex with ``near`` set is a boundary vertex.  Both ``occ`` and
+    free vertex with ``near`` 1 is a boundary vertex.  When ``boxes`` is set
+    (a cycle base of at least 2R + 2 vertices and the fair walk), ``near``
+    is ``BOX`` where no occupied vertex lies within L-infinity distance R =
+    ``BOX_RADIUS``, columns counted round the cycle.  Both ``occ`` and
     ``near`` hold M + 2 layers and are written only by :func:`_commit`.
     ``vertical_loops`` is zero for the fair walk; otherwise each vertex
     carries that many extra slots that resolve to a fair vertical move (see
@@ -95,6 +115,13 @@ class Cluster:
         self.graph = graph
         self.vertical_loops = vertical_loops
         self.slot_table = slot_table(graph.d, vertical_loops)
+        lattice = graph.lattice
+        self.boxes = (
+            vertical_loops == 0
+            and lattice is not None
+            and len(lattice[0]) == 1
+            and graph.n >= 2 * BOX_RADIUS + 2
+        )
         self.occ: list[bytearray] = [bytearray([1] * graph.n), bytearray(graph.n), bytearray(graph.n)]
         self.near: list[bytearray] = [bytearray([1] * graph.n), bytearray([1] * graph.n), bytearray(graph.n)]
         self.loads: list[int] = [graph.n, 0, 0]
@@ -118,8 +145,21 @@ class Cluster:
     def _ensure_capacity(self) -> None:
         while len(self.occ) < self.M + 2:
             self.occ.append(bytearray(self.graph.n))
-            self.near.append(bytearray(self.graph.n))
+            self.near.append(self._empty_row(len(self.near)))
             self.loads.append(0)
+
+    def _empty_row(self, z: int) -> bytearray:
+        """Sticking-map row of the empty layer z: ``BOX`` where a box fits."""
+        n = self.graph.n
+        if not self.boxes:
+            return bytearray(n)
+        r = BOX_RADIUS
+        rows = self.occ[max(0, z - r) : z + r + 1]
+        taken = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n).any(axis=0)
+        ring = np.concatenate([taken[-r:], taken, taken[:r]])
+        sums = np.concatenate([[0], np.cumsum(ring)])
+        blocked = sums[2 * r + 1 :] != sums[: -2 * r - 1]  # any of columns g-r..g+r
+        return bytearray(np.where(blocked, 0, BOX).astype(np.uint8).tobytes())
 
 
 def new_cluster(graph: RegularGraph) -> Cluster:
@@ -171,13 +211,14 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
     """Walk from (g0, M) to the first boundary vertex.
 
     Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
-    Excursions above M are fast-forwarded exactly; everything at or below M
-    is stepped literally.  The walk law comes from the cluster's slot table,
+    Excursions above M are fast-forwarded exactly, and so is the walk across
+    each empty box (:func:`_box_jumps`); everything else at or below M is
+    stepped literally.  The walk law comes from the cluster's slot table,
     read block by block from a fresh :func:`cyldla.cylinder.walk_slots`
     stream, so the outcome depends only on the cluster and the state of
-    ``rng``.  The sticking test reads ``cluster.near`` once per position.
-    The cap is checked before every slot is taken, so no block is drawn once
-    ``cap`` literal steps are spent.
+    ``rng``.  Each position costs one read of ``cluster.near``: 0 steps on,
+    1 sticks, ``BOX`` jumps.  The cap is checked before every slot is taken,
+    so no block is drawn once ``cap`` literal steps are spent.
     """
     nbrs = cluster.graph.neighbors
     occ = cluster.occ
@@ -188,12 +229,14 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
 
     g, z = g0, m_layer
     literal = 0
-    fast_forwarded = 0  # sum of (total - 1) over excursions, so kappa = literal + this
+    fast_forwarded = 0  # excursion and box steps beyond the literal ones, so kappa = literal + this
     min_layer = m_layer
+    if near[z][g] == BOX:
+        g, z, fast_forwarded, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
     if near[z][g]:
-        return _stuck(occ, g, z, 0, min_layer, 0)
+        return _stuck(occ, g, z, fast_forwarded, min_layer, 0)
     if cap <= 0:
-        raise _cap_exceeded(cap, 0, 0, min_layer)
+        raise _cap_exceeded(cap, 0, fast_forwarded, min_layer)
     for block in walk_slots(rng, cluster.slot_table):
         for s in block:
             literal += 1
@@ -215,9 +258,43 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
                 if z < min_layer:
                     min_layer = z
             if near[z][g]:
-                return _stuck(occ, g, z, literal + fast_forwarded, min_layer, literal)
+                if near[z][g] == BOX:
+                    g, z, jumped, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
+                    fast_forwarded += jumped
+                if near[z][g]:
+                    return _stuck(occ, g, z, literal + fast_forwarded, min_layer, literal)
             if literal >= cap:
                 raise _cap_exceeded(cap, literal, literal + fast_forwarded, min_layer)
+
+
+def _box_jumps(cluster: Cluster, g: int, z: int, min_layer: int, rng: np.random.Generator):
+    """Cross empty boxes from (g, z) until the walk stands where none fits.
+
+    Returns (g, z, steps, min_layer).  Each draw from the box table moves
+    the walk to its exit from the box (or to where it stands after the
+    table's last step) and lowers ``min_layer`` to the lowest layer it
+    reached.  Nothing can stick above M, so a walk that ends h > 0 layers
+    above M is brought back to M in one exact return draw.
+    """
+    table = box_table()
+    n = cluster.graph.n
+    near = cluster.near
+    m_layer = cluster.M
+    steps = 0
+    while True:
+        t, dx, dz, low = table.draw(rng)
+        steps += t
+        if z + low < min_layer:
+            min_layer = z + low
+        g = (g + dx) % n
+        z += dz
+        if z > m_layer:
+            v, gamma = sample_return_shape(rng, z - m_layer, cluster.vertical_prob())
+            steps += v + gamma
+            g = cluster.kernel().sample(g, gamma, rng)
+            z = m_layer
+        if near[z][g] != BOX:
+            return g, z, steps, min_layer
 
 
 def _stuck(occ: list[bytearray], g: int, z: int, kappa: int, min_layer: int, literal: int):
@@ -258,6 +335,8 @@ def _commit(cluster: Cluster, g: int, h: int) -> None:
     cluster.t += 1
     cluster.occ[h][g] = 1
     near = cluster.near
+    if cluster.boxes:
+        _clear_boxes(near, g, h, cluster.graph.n)
     row = near[h]
     row[g] = 1
     near[h + 1][g] = 1
@@ -273,6 +352,22 @@ def _commit(cluster: Cluster, g: int, h: int) -> None:
         cluster._ensure_capacity()
     if h >= 1 and cluster.loads[h] == cluster.graph.n:
         cluster.wall_times.append((h, cluster.t))
+
+
+def _clear_boxes(near: list[bytearray], g: int, h: int, n: int) -> None:
+    """Drop the ``BOX`` marks within L-infinity distance R of a new stick (g, h)."""
+    r = BOX_RADIUS
+    lo, hi = g - r, g + r + 1
+    if lo < 0:
+        spans = ((lo + n, n), (0, hi))
+    elif hi > n:
+        spans = ((lo, n), (0, hi - n))
+    else:
+        spans = ((lo, hi),)
+    for row in near[max(0, h - r) : h + r + 1]:
+        for a, b in spans:
+            if row.find(BOX, a, b) >= 0:
+                row[a:b] = row[a:b].replace(b"\x02", b"\x00")
 
 
 def grow(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import dla
 from .dla import Cluster
 
 
@@ -35,57 +34,60 @@ def first_hit_distribution(cluster: Cluster, truncate_layer: int) -> dict[tuple[
 
     graph = cluster.graph
     n = graph.n
-    if truncate_layer <= cluster.M:
+    top = truncate_layer
+    if top <= cluster.M:
         raise ValueError("truncation must lie above the lowest empty layer")
-    transient_index: dict[tuple[int, int], int] = {}
-    absorbing_index: dict[tuple[int, int], int] = {}
-    for z in range(1, truncate_layer + 1):
-        occ_row = cluster.occ[z] if z < len(cluster.occ) else None
-        for g in range(n):
-            if occ_row is not None and occ_row[g]:
-                continue
-            if dla.is_boundary(cluster, (g, z)):
-                absorbing_index[(g, z)] = len(absorbing_index)
-            else:
-                transient_index[(g, z)] = len(transient_index)
-    nt, na = len(transient_index), len(absorbing_index)
-    q_from, q_to, q_p = [], [], []
-    r_from, r_to, r_p = [], [], []
-    for (g, z), i in transient_index.items():
-        options = []
-        if z < truncate_layer:
-            options.append((g, z + 1))
-        options.append((g, z - 1))
-        for u in graph.neighbors[g]:
-            options.append((u, z))
-        p = 1.0 / len(options)
-        for state in options:
-            if state in transient_index:
-                q_from.append(i)
-                q_to.append(transient_index[state])
-                q_p.append(p)
-            elif state in absorbing_index:
-                r_from.append(i)
-                r_to.append(absorbing_index[state])
-                r_p.append(p)
-            else:
-                raise RuntimeError(
-                    f"transient state {(g, z)} leads to {state}, which is neither "
-                    "transient nor boundary; the cluster state is inconsistent"
-                )
+    held = min(len(cluster.occ), top + 2)
+    occ = np.zeros((top + 2, n), dtype=bool)
+    occ[:held] = np.frombuffer(b"".join(cluster.occ[:held]), dtype=np.uint8).reshape(held, n)
+    nbrs = np.array(graph.neighbors, dtype=np.intp).reshape(n, graph.d)
+    # layers 1..top; a loop neighbour is the free vertex itself, so it never touches
+    layer = occ[1 : top + 1]
+    touch = occ[:top] | occ[2:] | layer[:, nbrs].any(axis=2)
+    free = ~layer
+    transient = free & ~touch
+    absorbing = free & touch
+    nt, na = int(transient.sum()), int(absorbing.sum())
+    t_index = np.full((top + 2, n), -1, dtype=np.intp)
+    a_index = np.full((top + 2, n), -1, dtype=np.intp)
+    t_index[1 : top + 1][transient] = np.arange(nt)
+    a_index[1 : top + 1][absorbing] = np.arange(na)
+    tz, tg = np.nonzero(transient)
+    tz += 1
+    # one row of options per transient state, in the order up, down, neighbours;
+    # the top layer reflects, so its up option is dropped
+    to_z = np.empty((nt, graph.d + 2), dtype=np.intp)
+    to_g = np.empty_like(to_z)
+    to_z[:, 0], to_z[:, 1], to_z[:, 2:] = tz + 1, tz - 1, tz[:, None]
+    to_g[:, :2], to_g[:, 2:] = tg[:, None], nbrs[tg]
+    valid = np.ones(to_z.shape, dtype=bool)
+    valid[:, 0] = tz < top
+    p = np.broadcast_to((1.0 / valid.sum(axis=1))[:, None], valid.shape)
+    src = np.broadcast_to(np.arange(nt)[:, None], valid.shape)
+    ti = t_index[to_z, to_g]
+    ai = a_index[to_z, to_g]
+    stray = valid & (ti < 0) & (ai < 0)
+    if stray.any():
+        i, k = np.argwhere(stray)[0]
+        raise RuntimeError(
+            f"transient state {(int(tg[i]), int(tz[i]))} leads to {(int(to_g[i, k]), int(to_z[i, k]))}, "
+            "which is neither transient nor boundary; the cluster state is inconsistent"
+        )
+    to_q = valid & (ti >= 0)
+    to_r = valid & (ai >= 0)
+    q = coo_matrix((p[to_q], (src[to_q], ti[to_q])), shape=(nt, nt))
+    r = coo_matrix((p[to_r], (src[to_r], ai[to_r])), shape=(nt, na))
     start_t = np.zeros(nt)
     start_abs = np.zeros(na)
-    for g in range(n):
-        state = (g, cluster.M)
-        if state in absorbing_index:
-            start_abs[absorbing_index[state]] += 1.0 / n
-        else:
-            start_t[transient_index[state]] += 1.0 / n
-    q = coo_matrix((q_p, (q_from, q_to)), shape=(nt, nt))
-    r = coo_matrix((r_p, (r_from, r_to)), shape=(nt, na))
+    m_t, m_a = t_index[cluster.M], a_index[cluster.M]
+    start_t[m_t[m_t >= 0]] = 1.0 / n
+    start_abs[m_a[m_a >= 0]] = 1.0 / n
     visits = spsolve((identity(nt) - q).T.tocsc(), start_t)
     hit = start_abs + r.T @ visits
-    return {state: float(p) for state, p in zip(absorbing_index, hit) if p > 0.0}
+    az, ag = np.nonzero(absorbing)
+    return {
+        (int(g), int(z) + 1): float(v) for g, z, v in zip(ag, az, hit) if v > 0.0
+    }
 
 
 def total_variation(p: dict, q: dict) -> float:

@@ -9,6 +9,8 @@ fast-forward of excursions in the cluster simulator.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,6 +156,9 @@ def zeros_constant(alpha: float, eps: float) -> float:
 # is below 1.3e-12 at k = 65 and reaches machine precision near k = 1e3.  The
 # series stays finite and non-increasing at every k the sampler can reach,
 # which a difference of log-gamma values does not (it overflows near 6.5e16).
+# The sampler looks the tail up in a table of its negated values up to
+# k = 4,096 and searches beyond; the tail is non-increasing, so both find
+# the same k.
 
 _SMALL_TAIL = [1.0]
 for _k in range(1, 65):
@@ -166,9 +171,21 @@ def first_passage_tail(k: int) -> float:
         raise ValueError("k must be >= 0")
     if k < len(_SMALL_TAIL):
         return _SMALL_TAIL[k]
+    return float(_series_tail(k))
+
+
+def _series_tail(k):
+    """The asymptotic series of P(rho > 2k), at an int k or a float array of them."""
     x = 1.0 / k
     series = 1.0 - x / 8.0 + x * x / 128.0 + 5.0 * x**3 / 1024.0 - 21.0 * x**4 / 32768.0
-    return series / math.sqrt(math.pi * k)
+    return series / np.sqrt(math.pi * k)
+
+
+_TAIL_TABLE_TOP = 4096
+_NEG_TAIL = array(
+    "d",
+    (-np.concatenate([_SMALL_TAIL, _series_tail(np.arange(len(_SMALL_TAIL), _TAIL_TABLE_TOP + 1.0))])).tobytes(),
+)
 
 
 def sample_first_passage_moves(rng: np.random.Generator) -> int:
@@ -181,11 +198,12 @@ def sample_first_passage_moves(rng: np.random.Generator) -> int:
     u = rng.random()
     while u <= 0.0:
         u = rng.random()
-    # find smallest j with tail(j + 1) < u, i.e. rho = 2j + 1
-    if first_passage_tail(1) < u:
-        return 1
-    lo = 1  # tail(lo) >= u
-    hi = 2
+    # find the largest j with tail(j) >= u, i.e. rho = 2j + 1
+    j = bisect_right(_NEG_TAIL, -u) - 1
+    if j < _TAIL_TABLE_TOP:
+        return 2 * j + 1
+    lo = _TAIL_TABLE_TOP  # tail(lo) >= u
+    hi = 2 * lo
     while first_passage_tail(hi) >= u:
         lo = hi
         hi *= 2

@@ -1,16 +1,27 @@
+import copy
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyldla
+from cyldla import dla
 from cyldla.cylinder import (
+    BoxTable,
     GTransitionSampler,
     SamplingRangeError,
+    box_table,
+    build_box_table,
     long_excursion_frequency,
     long_excursion_probability_bound,
     sample_excursion_shape,
     sample_negative_binomial,
+    sample_return_shape,
     slot_table,
     walk_slots,
 )
@@ -270,3 +281,126 @@ def test_fast_forward_matches_skeleton_simulation():
 def test_long_excursion_rejects_bad_alpha():
     with pytest.raises(ValueError):
         long_excursion_frequency(make_cycle(6), alpha=1.0, trials=10, seed=0)
+
+
+def _enumerated_box_law(radius, steps):
+    """Every 4^steps path of the fair walk, grouped by (t, dx, dz, low) at its box exit.
+
+    A path that stays inside for all ``steps`` steps is grouped at ``steps``
+    with its end offset.  Each prefix event is counted over all its
+    extensions to ``steps`` steps, so the probabilities are exact.
+    """
+    paths = np.arange(4**steps, dtype=np.int64)
+    moves = ((paths[:, None] >> (2 * np.arange(steps))) & 3).astype(np.int8)
+    x = np.cumsum(np.array([1, -1, 0, 0], dtype=np.int8)[moves], axis=1, dtype=np.int8)
+    z = np.cumsum(np.array([0, 0, 1, -1], dtype=np.int8)[moves], axis=1, dtype=np.int8)
+    low = np.minimum(np.minimum.accumulate(z, axis=1), 0)
+    out = np.maximum(np.abs(x), np.abs(z)) == radius
+    first = np.where(out.any(axis=1), out.argmax(axis=1), steps - 1)
+    rows = np.arange(paths.size)
+    fields = (first + 1, x[rows, first] + 64, z[rows, first] + 64, low[rows, first] + 64)
+    code = np.zeros(paths.size, dtype=np.int64)
+    for field in fields:  # one integer per (t, dx, dz, low), 7 bits a field
+        code = code * 128 + field
+    found, counts = np.unique(code, return_counts=True)
+    law = {}
+    for key, c in zip(found.tolist(), counts.tolist()):
+        t, rest = divmod(key, 128**3)
+        dx, rest = divmod(rest, 128**2)
+        dz, low = divmod(rest, 128)
+        law[(t, dx - 64, dz - 64, low - 64)] = c / 4**steps
+    return law
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_box_table_matches_path_enumeration(radius):
+    table = build_box_table(radius)
+    steps = min(10, table.t_max)
+    want = _enumerated_box_law(radius, steps)
+    prob = np.diff(np.frombuffer(table.cdf), prepend=0.0) * table.mass
+    got = {
+        (t, dx, dz, low): p
+        for t, dx, dz, low, p in zip(table.steps, table.dx, table.dz, table.low, prob)
+        if t <= steps
+    }
+    if steps < table.t_max:  # paths still inside at ``steps`` are not table entries yet
+        want = {k: p for k, p in want.items() if max(abs(k[1]), abs(k[2])) == radius}
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) < 1e-12
+    assert abs(table.mass - 1.0) < 1e-12 and abs(prob.sum() - 1.0) < 1e-12
+    assert table.cdf[-1] == 1.0
+    assert all(low <= min(dz, 0) for dz, low in zip(table.dz, table.low))
+
+
+def test_box_table_draw_inverts_the_cdf():
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    table = build_box_table(3)
+    for i in (0, 1, len(table.cdf) // 2, len(table.cdf) - 1):
+        lo = table.cdf[i - 1] if i else 0.0
+        if table.cdf[i] > lo:
+            want = (table.steps[i], table.dx[i], table.dz[i], table.low[i])
+            assert table.draw(Fixed(lo)) == want
+            assert table.draw(Fixed(np.nextafter(table.cdf[i], 0.0))) == want
+
+
+def test_return_shape_is_the_first_passage_to_minus_h():
+    rng = np.random.default_rng(8)
+    h, trials = 3, 20_000
+    draws = [sample_return_shape(rng, h, 0.5) for _ in range(trials)]
+    v = np.array([a for a, _ in draws])
+    gamma = np.array([b for _, b in draws])
+    assert np.all(v % 2 == h % 2) and v.min() >= h
+    # P(V = h) = 2^-h; P(V = h + 2) = h 2^-(h+2): one up move among the first h + 1
+    for moves, prob in ((h, 1 / 8), (h + 2, 3 / 32)):
+        se = math.sqrt(prob * (1 - prob) / trials)
+        assert abs((v == moves).mean() - prob) <= 3 * se
+    # each vertical move follows a geometric number of same-layer moves, mean 1
+    small = v <= 9
+    assert abs(gamma[small].sum() / v[small].sum() - 1.0) < 0.05
+
+
+def test_box_table_is_built_lazily():
+    # a fresh interpreter: import, a cycle:500 kernel and growth where no box fits
+    script = (
+        "import numpy as np\n"
+        "from cyldla import cylinder, dla, graphs\n"
+        "cylinder.GTransitionSampler(graphs.make_cycle(500))\n"
+        "c = dla.new_cluster(graphs.make_cycle(16))\n"
+        "dla.grow(c, np.random.default_rng(0), particles=300)\n"
+        "print(cylinder.box_table.cache_info().currsize)\n"
+    )
+    src = str(Path(cyldla.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env, check=True
+    )
+    assert done.stdout.split() == ["0"]
+
+
+def test_clusters_share_one_box_table_and_copies_hold_none(monkeypatch):
+    jumps = Counter()
+
+    def counted(cluster, *args):
+        jumps[id(cluster)] += 1
+        return box_jumps(cluster, *args)
+
+    box_jumps = dla._box_jumps
+    monkeypatch.setattr(dla, "_box_jumps", counted)
+    g = make_cycle(64)
+    clusters = [dla.new_cluster(g) for _ in range(2)]
+    for k, cluster in enumerate(clusters):
+        dla.grow(cluster, np.random.default_rng(k), target_layer=30)
+        assert cluster.boxes and jumps[id(cluster)] > 0
+    info = box_table.cache_info()
+    assert info.currsize == 1 and info.misses == 1
+    memo = {}
+    twin = copy.deepcopy(clusters[0], memo)
+    assert id(box_table()) not in memo
+    assert not any(isinstance(v, BoxTable) for v in memo.values())
+    assert twin.near == clusters[0].near

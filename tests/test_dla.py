@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cyldla import dla
-from cyldla.cylinder import sample_excursion_shape, walk_slots
+from cyldla.cylinder import BOX_RADIUS, sample_excursion_shape, walk_slots
 from cyldla.dla import (
     CapExceededError,
     cluster_from_snapshot,
@@ -41,6 +41,7 @@ from cyldla.graphs import (
     parse_graph_spec,
 )
 from cyldla.oracles import first_hit_distribution, total_variation
+from cyldla.stats import chi_square_two_sample
 
 
 def test_new_cluster_state():
@@ -204,11 +205,21 @@ def test_probe_does_not_mutate():
     assert before == after
 
 
+def _box_fits(cluster, g, z):
+    """No occupied vertex within L-infinity distance R, by a scan of the box."""
+    n, r = cluster.graph.n, BOX_RADIUS
+    rows = cluster.occ[max(0, z - r) : z + r + 1]
+    return not any(row[(g + k) % n] for row in rows for k in range(-r, r + 1))
+
+
 def _assert_near_matches_definition(cluster):
     assert len(cluster.near) == len(cluster.occ) == cluster.M + 2
     for z in range(cluster.M + 2):
         for g in range(cluster.graph.n):
-            expected = bool(cluster.occ[z][g] or is_boundary(cluster, (g, z)))
+            if cluster.boxes and _box_fits(cluster, g, z):
+                expected = dla.BOX
+            else:
+                expected = bool(cluster.occ[z][g] or is_boundary(cluster, (g, z)))
             assert cluster.near[z][g] == expected, (g, z)
 
 
@@ -220,6 +231,7 @@ def _assert_near_matches_definition(cluster):
         (parse_graph_spec("random:40:3:seed=2"), 200),
         (make_complete(5), 150),
         (add_self_loops(make_cycle(6)), 80),
+        (make_cycle(64), 400),
     ],
 )
 def test_sticking_map_matches_definition_under_growth(graph, particles):
@@ -247,6 +259,27 @@ def test_sticking_map_matches_definition_on_every_constructor(tmp_path):
     grow(twin, np.random.default_rng(34), particles=100)
     _assert_near_matches_definition(twin)
     assert c.near == replayed.near  # the copy shares no rows with the original
+    wide = make_cycle(64)
+    c = new_cluster(wide)
+    grow(c, np.random.default_rng(33), particles=400)
+    save_snapshot(c, tmp_path / "wide.snap")
+    replayed = cluster_from_snapshot(load_snapshot(tmp_path / "wide.snap"), wide)
+    assert replayed.near == c.near and any(dla.BOX in row for row in c.near)
+    _assert_near_matches_definition(replayed)
+
+
+def test_boxes_fit_only_on_wide_cycles_with_the_fair_walk():
+    r = BOX_RADIUS
+    assert not new_cluster(make_cycle(2 * r + 1)).boxes
+    assert new_cluster(make_cycle(2 * r + 2)).boxes
+    assert new_cluster(parse_graph_spec(f"torus:{2 * r + 2}")).boxes  # a one-side torus is a cycle
+    for graph in (make_torus(2 * r + 2, 2), add_self_loops(make_cycle(2 * r + 2)), make_complete(30)):
+        assert not new_cluster(graph).boxes
+    assert not negative_control_cluster(add_self_loops(make_cycle(2 * r + 2))).boxes
+    # every layer below M holds a stick, so a box spanning the whole cycle never fits
+    narrow = new_cluster(make_cycle(2 * r + 1))
+    grow(narrow, np.random.default_rng(36), target_layer=3 * r)
+    assert not any(dla.BOX in row for row in narrow.near)
 
 
 def test_first_hit_distribution_matches_oracle():
@@ -426,8 +459,9 @@ def _reference_walk(cluster, rng, steps=None):
 
 
 def test_cap_is_exact():
-    c = new_cluster(make_cycle(128))
-    grow(c, np.random.default_rng(35), particles=100)
+    # the widest cycle where no box fits, so the literal reference walk applies
+    c = new_cluster(make_cycle(2 * BOX_RADIUS + 1))
+    grow(c, np.random.default_rng(35), particles=200)
     seed = next(s for s in itertools.count() if _reference_walk(c, np.random.default_rng(s))[5] > 300)
     _, g, z, kappa, min_layer, steps = _reference_walk(c, np.random.default_rng(seed))
     out = probe_particle(c, np.random.default_rng(seed))
@@ -443,6 +477,112 @@ def test_cap_is_exact():
         assert (err.value.literal_steps, err.value.kappa, err.value.min_layer) == (cap, kappa, min_layer)
         # only the blocks the first ``cap`` slots needed were drawn
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _BlockSpy:
+    """A generator that records the size of every block of walk slots drawn."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.blocks = []
+
+    def integers(self, low, high=None, size=None):
+        if size is not None:
+            self.blocks.append(size)
+        return self._rng.integers(low, high, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# frozen states on which boxes fire: target layer and growth seed
+BOX_STATES = {"cycle:64": (30, 1), "cycle:128": (40, 3)}
+
+
+def _box_state(spec):
+    layer, seed = BOX_STATES[spec]
+    c = new_cluster(parse_graph_spec(spec))
+    grow(c, np.random.default_rng(seed), target_layer=layer)
+    assert c.boxes
+    return c
+
+
+@pytest.fixture
+def box_jumps(monkeypatch):
+    """Counts the walker's calls into the box sampler."""
+    calls = Counter()
+    jump = dla._box_jumps
+
+    def counted(*args):
+        calls["jumps"] += 1
+        return jump(*args)
+
+    monkeypatch.setattr(dla, "_box_jumps", counted)
+    return calls
+
+
+def test_cap_is_exact_where_boxes_fire(box_jumps):
+    c = _box_state("cycle:128")
+
+    def walk(seed, cap=dla.DEFAULT_STEP_CAP):
+        rng = np.random.default_rng(seed)
+        return dla._walk_to_boundary(c, int(rng.integers(0, c.graph.n)), rng, cap)
+
+    for seed in itertools.count():
+        box_jumps.clear()
+        full = walk(seed)
+        if full[4] > 300 and box_jumps:
+            break
+    steps = full[4]
+    assert walk(seed, cap=steps) == full
+    for cap in (1, 63, 64, 65, 192, 193, steps - 1):
+        box_jumps.clear()
+        rng = _BlockSpy(np.random.default_rng(seed))
+        with pytest.raises(CapExceededError) as err:
+            probe_particle(c, rng, cap=cap)
+        assert err.value.literal_steps == cap
+        assert err.value.kappa >= err.value.literal_steps
+        # only the blocks the first ``cap`` slots needed were drawn
+        assert sum(rng.blocks[:-1]) < cap <= sum(rng.blocks)
+    assert box_jumps and err.value.kappa > cap  # the last walk jumped before its cap
+
+
+def _null_tv(law, trials):
+    """Expected TV between ``trials`` exact draws from ``law`` and the law."""
+    return 0.5 * sum(min(math.sqrt(2 * p * (1 - p) / (math.pi * trials)), 2 * p) for p in law.values())
+
+
+@pytest.mark.parametrize("spec", BOX_STATES)
+def test_box_jumps_match_the_first_hit_oracle(spec, box_jumps):
+    c = _box_state(spec)
+    law = first_hit_distribution(c, 2 * (c.M + 28))
+    rng = np.random.default_rng(37)
+    trials = 10_000
+    counts = Counter()
+    for _ in range(trials):
+        out = probe_particle(c, rng)
+        counts[(out.stick_g, out.H)] += 1
+    assert box_jumps["jumps"] > trials // 4
+    tv = total_variation({k: v / trials for k, v in counts.items()}, law)
+    assert tv <= 3 * _null_tv(law, trials), f"TV {tv:.4f}"
+
+
+def test_box_jumps_keep_the_law_of_kappa_and_depth(box_jumps):
+    c = _box_state("cycle:128")
+    trials = 3000
+    ref_rng = np.random.default_rng(38)
+    ref = [_reference_walk(c, ref_rng) for _ in range(trials)]
+    box_jumps.clear()
+    rng = np.random.default_rng(39)
+    jumped = [probe_particle(c, rng) for _ in range(trials)]
+    assert box_jumps["jumps"] > trials
+    kappa_ref = Counter(int(math.log2(kappa + 1)) for _, _, _, kappa, _, _ in ref)
+    kappa_box = Counter(int(math.log2(out.kappa + 1)) for out in jumped)
+    depth_ref = Counter(c.M - low for _, _, _, _, low, _ in ref)
+    depth_box = Counter(c.M - out.min_layer_visited for out in jumped)
+    for a, b in ((kappa_ref, kappa_box), (depth_ref, depth_box)):
+        chi2 = chi_square_two_sample(a, b)
+        assert chi2.p_value > 0.01, chi2
 
 
 def test_cap_zero_draws_nothing_after_the_entry():

@@ -187,3 +187,27 @@ def test_first_passage_sampler_distribution():
         assert abs(freq - prob) <= 3 * se + 1e-9
     # heavy tail present: some draw should exceed 1000 moves w.h.p.
     assert draws.max() > 1000
+
+
+def _first_passage_by_search(u):
+    """The doubling-and-bisection search on the tail, the sampler's reference."""
+    if first_passage_tail(1) < u:
+        return 1
+    lo, hi = 1, 2
+    while first_passage_tail(hi) >= u:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if first_passage_tail(mid) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return 2 * lo + 1
+
+
+def test_first_passage_lookup_matches_the_search():
+    tails = [first_passage_tail(k) for k in range(4100)]
+    edges = [np.nextafter(t, side) for t in tails for side in (0.0, 1.0)]
+    uniforms = np.random.default_rng(12).random(50_000).tolist()
+    for u in tails[1:] + edges[2:] + uniforms + [1e-12, 2.0**-53]:
+        assert sample_first_passage_moves(_FixedUniform(u)) == _first_passage_by_search(u), u
