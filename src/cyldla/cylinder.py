@@ -12,10 +12,12 @@ it is built from and checked against:
 * the walk law as a slot table, read one drop at a time, block by block,
   through :func:`walk_slots`;
 * exact-law machinery for the heavy-tailed part of the walk.  The vertical
-  first-return time of an excursion has infinite mean, so bulk estimators
-  cannot afford to step through it.  :func:`sample_excursion_shape` draws the
-  (vertical moves, same-layer moves) pair of one excursion from its exact
-  joint law, and :class:`GTransitionSampler` advances the base coordinate by
+  first-return time of an excursion has infinite mean, so the walker steps
+  through an excursion above the front only up to ``CEILING_HEIGHT`` layers;
+  from there :func:`sample_return_shape` draws the (vertical moves,
+  same-layer moves) pair of the return to the front from its exact joint
+  law (:func:`sample_excursion_shape` is the same law for one whole
+  excursion), and :class:`GTransitionSampler` advances the base coordinate by
   an arbitrary number gamma of same-layer moves in one shot, by one of three
   exact routes: slot counts on lattice bases, literal hops up to a TV cut and
   then a uniform draw on other non-bipartite bases, and an eigenvector row of
@@ -47,6 +49,7 @@ DEFAULT_START_OFFSET = 1_000_000
 _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
 BOX_RADIUS = 10
+CEILING_HEIGHT = 4  # layers above the front a walk steps literally before one return draw
 
 
 # --- exact excursion-shape sampling ------------------------------------------

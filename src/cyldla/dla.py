@@ -10,11 +10,14 @@ decides "stuck?" with one read per step.  :func:`_commit` is the only code
 that writes either.
 
 No boundary vertex exists strictly above layer M, so the walk cannot stick
-during an excursion above M.  Those excursions are therefore not stepped
-through (their length has infinite mean); instead their exact shape is drawn
-via :func:`cyldla.cylinder.sample_excursion_shape` and the base coordinate is
-advanced in one shot through the exact base kernel
-:class:`cyldla.cylinder.GTransitionSampler`.
+during an excursion above M, and it reads no sticking-map row there.  Most
+excursions are short (half return after one vertical move) and are stepped
+literally, but their length has infinite mean: a walk that climbs H =
+``CEILING_HEIGHT`` layers above M is brought back to M in one exact draw,
+the return shape from :func:`cyldla.cylinder.sample_return_shape` and the
+base coordinate from the exact base kernel
+:class:`cyldla.cylinder.GTransitionSampler`.  This is exact by the strong
+Markov property at the first hit of layer M + H.
 
 On cycle bases with at least 2R + 2 vertices (R = ``BOX_RADIUS``) the walk
 also crosses empty space in one draw: where no occupied vertex lies within
@@ -22,10 +25,11 @@ L-infinity distance R, the sticking map says so, and the walk's exit from
 the (2R+1)^2 box around it is drawn from :func:`cyldla.cylinder.box_table`.
 Narrower cycles never fit a box, since every layer below M holds a stick.
 
-The step count kappa still reports the full walk length, including
-fast-forwarded and box steps.  The step cap applies to literally simulated
-steps; a cap hit aborts the drop with a hard error rather than resampling,
-which would bias the sticking distribution.
+The step count kappa still reports the full walk length, including the
+returns from the ceiling and the box steps.  The step cap applies to
+literally simulated steps, those above M included; a cap hit aborts the
+drop with a hard error rather than resampling, which would bias the
+sticking distribution.
 
 A snapshot file names its base graph by label and lists the sticks in
 order.  :func:`load_snapshot` only parses it; :func:`cluster_from_snapshot`
@@ -43,9 +47,10 @@ import numpy as np
 
 from .cylinder import (
     BOX_RADIUS,
+    CEILING_HEIGHT,
     GTransitionSampler,
     box_table,
-    sample_excursion_shape,
+    sample_excursion_shape,  # not called here; bench/tracing.py looks it up on this module
     sample_return_shape,
     slot_table,
     walk_slots,
@@ -211,25 +216,29 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
     """Walk from (g0, M) to the first boundary vertex.
 
     Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
-    Excursions above M are fast-forwarded exactly, and so is the walk across
-    each empty box (:func:`_box_jumps`); everything else at or below M is
-    stepped literally.  The walk law comes from the cluster's slot table,
-    read block by block from a fresh :func:`cyldla.cylinder.walk_slots`
-    stream, so the outcome depends only on the cluster and the state of
-    ``rng``.  Each position costs one read of ``cluster.near``: 0 steps on,
-    1 sticks, ``BOX`` jumps.  The cap is checked before every slot is taken,
-    so no block is drawn once ``cap`` literal steps are spent.
+    Every step is taken literally, above M too, except in two places where
+    one exact draw stands in for many steps: a walk that climbs
+    ``CEILING_HEIGHT`` layers above M is brought back to M at once
+    (:func:`_return_to_front`; exact by the strong Markov property at the
+    first hit of that layer, since nothing can stick above M), and so is
+    the walk across each empty box (:func:`_box_jumps`).  The walk law
+    comes from the cluster's slot table, read block by block from a fresh
+    :func:`cyldla.cylinder.walk_slots` stream, so the outcome depends only
+    on the cluster and the state of ``rng``.  Each position at or below M
+    costs one read of ``cluster.near``: 0 steps on, 1 sticks, ``BOX``
+    jumps; above M the walk reads no row of it.  The cap is checked before
+    every slot is taken, so no block is drawn once ``cap`` literal steps
+    are spent.
     """
     nbrs = cluster.graph.neighbors
     occ = cluster.occ
     near = cluster.near
     m_layer = cluster.M
-    vert_prob = cluster.vertical_prob()
-    kernel = cluster.kernel()
+    ceiling = m_layer + CEILING_HEIGHT
 
     g, z = g0, m_layer
     literal = 0
-    fast_forwarded = 0  # excursion and box steps beyond the literal ones, so kappa = literal + this
+    fast_forwarded = 0  # return and box steps beyond the literal ones, so kappa = literal + this
     min_layer = m_layer
     if near[z][g] == BOX:
         g, z, fast_forwarded, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
@@ -243,21 +252,18 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
             if s >= 2:
                 g = nbrs[g][s - 2]
             elif s == 0:
-                if z == m_layer:
-                    # excursion strictly above M: no boundary exists there, so
-                    # draw its exact shape instead of stepping through it
-                    _, gamma, total = sample_excursion_shape(rng, vert_prob)
-                    fast_forwarded += total - 1
-                    g = kernel.sample(g, gamma, rng)
-                else:
-                    z += 1
+                z += 1
+                if z == ceiling:
+                    g, returned = _return_to_front(cluster, g, CEILING_HEIGHT, rng)
+                    fast_forwarded += returned
+                    z = m_layer
             else:
                 if z == 0:
                     raise RuntimeError("walk reached the floor layer without sticking")
                 z -= 1
                 if z < min_layer:
                     min_layer = z
-            if near[z][g]:
+            if z <= m_layer and near[z][g]:
                 if near[z][g] == BOX:
                     g, z, jumped, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
                     fast_forwarded += jumped
@@ -267,6 +273,17 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
                 raise _cap_exceeded(cap, literal, literal + fast_forwarded, min_layer)
 
 
+def _return_to_front(cluster: Cluster, g: int, height: int, rng: np.random.Generator):
+    """Bring a walk at base vertex g, ``height`` layers above M, down to M.
+
+    Returns (g, steps): the base vertex where the walk first reaches M and
+    the steps it took.  One return-shape draw gives the vertical and
+    same-layer move counts, and the base kernel moves g by the latter.
+    """
+    v, gamma = sample_return_shape(rng, height, cluster.vertical_prob())
+    return cluster.kernel().sample(g, gamma, rng), v + gamma
+
+
 def _box_jumps(cluster: Cluster, g: int, z: int, min_layer: int, rng: np.random.Generator):
     """Cross empty boxes from (g, z) until the walk stands where none fits.
 
@@ -274,7 +291,7 @@ def _box_jumps(cluster: Cluster, g: int, z: int, min_layer: int, rng: np.random.
     the walk to its exit from the box (or to where it stands after the
     table's last step) and lowers ``min_layer`` to the lowest layer it
     reached.  Nothing can stick above M, so a walk that ends h > 0 layers
-    above M is brought back to M in one exact return draw.
+    above M is brought back to M by :func:`_return_to_front`.
     """
     table = box_table()
     n = cluster.graph.n
@@ -289,9 +306,8 @@ def _box_jumps(cluster: Cluster, g: int, z: int, min_layer: int, rng: np.random.
         g = (g + dx) % n
         z += dz
         if z > m_layer:
-            v, gamma = sample_return_shape(rng, z - m_layer, cluster.vertical_prob())
-            steps += v + gamma
-            g = cluster.kernel().sample(g, gamma, rng)
+            g, returned = _return_to_front(cluster, g, z - m_layer, rng)
+            steps += returned
             z = m_layer
         if near[z][g] != BOX:
             return g, z, steps, min_layer

@@ -3,8 +3,8 @@
 These are the trust anchors for the cylinder walk's vertical coordinate:
 closed forms are kept in exact rational arithmetic, and an exhaustive path
 enumerator provides an independent ground-truth oracle for small step
-counts.  The first-passage sampler at the bottom drives the exact
-fast-forward of excursions in the cluster simulator.
+counts.  The first-passage sampler at the bottom drives the cluster
+simulator's exact returns to the growth front from above it.
 """
 from __future__ import annotations
 

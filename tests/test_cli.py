@@ -99,7 +99,7 @@ def test_simulate_writes_schema_a(tmp_path, capsys):
     )
     assert code == 0
     growth = (tmp_path / "growth.csv").read_text().splitlines()
-    assert growth[0].startswith("# cyldla v4 config_hash=")
+    assert growth[0].startswith("# cyldla v5 config_hash=")
     assert growth[1] == "replica,m,T_m"
     assert len(growth) == 2 + 20 * 10
     first = growth[2].split(",")

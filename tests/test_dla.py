@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from cyldla import dla
-from cyldla.cylinder import BOX_RADIUS, sample_excursion_shape, walk_slots
+from cyldla.cylinder import (
+    BOX_RADIUS,
+    CEILING_HEIGHT,
+    sample_excursion_shape,
+    sample_return_shape,
+    walk_slots,
+)
 from cyldla.dla import (
     CapExceededError,
     cluster_from_snapshot,
@@ -159,7 +166,7 @@ def _wall_violations_reference(cluster):
 def test_wall_blocking_single_pass_matches_definition():
     c = new_cluster(make_complete(3))
     grow(c, np.random.default_rng(1), particles=400)
-    assert len(c.wall_times) == 8
+    assert len(c.wall_times) == 9
     assert wall_blocking_violations(c) == _wall_violations_reference(c) == []
     lowest, low_t = c.wall_times[0]
     highest = max(w for w, _ in c.wall_times)
@@ -430,6 +437,8 @@ def _reference_walk(cluster, rng, steps=None):
     """The walker written out one slot at a time, stopping after ``steps`` slots.
 
     Sticking is read from :func:`is_boundary` and kappa is counted per step.
+    Steps above M are literal; a walk that climbs ``CEILING_HEIGHT`` layers
+    above M returns to M through one :func:`sample_return_shape` draw.
     Returns (stuck, g, z, kappa, min_layer, literal).
     """
     nbrs = cluster.graph.neighbors
@@ -444,6 +453,35 @@ def _reference_walk(cluster, rng, steps=None):
             return False, g, z, kappa, min_layer, literal
         s = next(slots)
         literal += 1
+        kappa += 1
+        if s >= 2:
+            g = nbrs[g][s - 2]
+            continue
+        z += 1 if s == 0 else -1
+        min_layer = min(min_layer, z)
+        if z == m_layer + CEILING_HEIGHT:
+            v, gamma = sample_return_shape(rng, CEILING_HEIGHT, cluster.vertical_prob())
+            kappa += v + gamma
+            g = kernel.sample(g, gamma, rng)
+            z = m_layer
+    return True, g, z, kappa, min_layer, literal
+
+
+def _immediate_return_walk(cluster, rng):
+    """The v4 walker: every excursion above M is fast-forwarded at its first step.
+
+    A test-only copy, the independent route the ceiling is checked against.
+    Returns (g, z, kappa, min_layer).
+    """
+    nbrs = cluster.graph.neighbors
+    kernel = cluster.kernel()
+    m_layer = cluster.M
+    g, z = int(rng.integers(0, cluster.graph.n)), m_layer
+    slots = itertools.chain.from_iterable(walk_slots(rng, cluster.slot_table))
+    kappa = 0
+    min_layer = m_layer
+    while not is_boundary(cluster, (g, z)):
+        s = next(slots)
         if s >= 2:
             g = nbrs[g][s - 2]
             kappa += 1
@@ -455,7 +493,7 @@ def _reference_walk(cluster, rng, steps=None):
             z += 1 if s == 0 else -1
             min_layer = min(min_layer, z)
             kappa += 1
-    return True, g, z, kappa, min_layer, literal
+    return g, z, kappa, min_layer
 
 
 def test_cap_is_exact():
@@ -521,22 +559,26 @@ def box_jumps(monkeypatch):
     return calls
 
 
-def test_cap_is_exact_where_boxes_fire(box_jumps):
-    c = _box_state("cycle:128")
+def _assert_cap_is_exact(c, fired):
+    """Walks on ``c`` cut at a cap spend exactly the cap and draw no block past it.
+
+    ``fired`` counts the draws that stand in for steps; the walk chosen must
+    make one before its cap.
+    """
 
     def walk(seed, cap=dla.DEFAULT_STEP_CAP):
         rng = np.random.default_rng(seed)
         return dla._walk_to_boundary(c, int(rng.integers(0, c.graph.n)), rng, cap)
 
     for seed in itertools.count():
-        box_jumps.clear()
+        fired.clear()
         full = walk(seed)
-        if full[4] > 300 and box_jumps:
+        if full[4] > 300 and fired:
             break
     steps = full[4]
     assert walk(seed, cap=steps) == full
     for cap in (1, 63, 64, 65, 192, 193, steps - 1):
-        box_jumps.clear()
+        fired.clear()
         rng = _BlockSpy(np.random.default_rng(seed))
         with pytest.raises(CapExceededError) as err:
             probe_particle(c, rng, cap=cap)
@@ -544,7 +586,11 @@ def test_cap_is_exact_where_boxes_fire(box_jumps):
         assert err.value.kappa >= err.value.literal_steps
         # only the blocks the first ``cap`` slots needed were drawn
         assert sum(rng.blocks[:-1]) < cap <= sum(rng.blocks)
-    assert box_jumps and err.value.kappa > cap  # the last walk jumped before its cap
+    assert fired and err.value.kappa > cap  # the last walk made such a draw before its cap
+
+
+def test_cap_is_exact_where_boxes_fire(box_jumps):
+    _assert_cap_is_exact(_box_state("cycle:128"), box_jumps)
 
 
 def _null_tv(law, trials):
@@ -552,19 +598,23 @@ def _null_tv(law, trials):
     return 0.5 * sum(min(math.sqrt(2 * p * (1 - p) / (math.pi * trials)), 2 * p) for p in law.values())
 
 
-@pytest.mark.parametrize("spec", BOX_STATES)
-def test_box_jumps_match_the_first_hit_oracle(spec, box_jumps):
-    c = _box_state(spec)
+def _probe_tv(c, seed, trials=10_000):
+    """TV of ``trials`` probes' (stick_g, H) on ``c`` from the oracle at 2T, and 3x its null value."""
     law = first_hit_distribution(c, 2 * (c.M + 28))
-    rng = np.random.default_rng(37)
-    trials = 10_000
+    rng = np.random.default_rng(seed)
     counts = Counter()
     for _ in range(trials):
         out = probe_particle(c, rng)
         counts[(out.stick_g, out.H)] += 1
-    assert box_jumps["jumps"] > trials // 4
     tv = total_variation({k: v / trials for k, v in counts.items()}, law)
-    assert tv <= 3 * _null_tv(law, trials), f"TV {tv:.4f}"
+    return tv, 3 * _null_tv(law, trials)
+
+
+@pytest.mark.parametrize("spec", BOX_STATES)
+def test_box_jumps_match_the_first_hit_oracle(spec, box_jumps):
+    tv, limit = _probe_tv(_box_state(spec), 37)
+    assert box_jumps["jumps"] > 10_000 // 4
+    assert tv <= limit, f"TV {tv:.4f}"
 
 
 def test_box_jumps_keep_the_law_of_kappa_and_depth(box_jumps):
@@ -583,6 +633,86 @@ def test_box_jumps_keep_the_law_of_kappa_and_depth(box_jumps):
     for a, b in ((kappa_ref, kappa_box), (depth_ref, depth_box)):
         chi2 = chi_square_two_sample(a, b)
         assert chi2.p_value > 0.01, chi2
+
+
+@pytest.fixture
+def returns(monkeypatch):
+    """Counts the returns to M by caller: the ceiling's and the box exits'."""
+    calls = Counter()
+    back = dla._return_to_front
+
+    def counted(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return back(*args)
+
+    monkeypatch.setattr(dla, "_return_to_front", counted)
+    return calls
+
+
+# frozen states with no boxes: front M and growth seed
+CEILING_STATES = {"cycle:16": (12, 7), "random:40:3:seed=2": (8, 7), "complete:5": (6, 7)}
+
+
+def _ceiling_state(spec):
+    m_layer, seed = CEILING_STATES[spec]
+    c = new_cluster(parse_graph_spec(spec))
+    grow(c, np.random.default_rng(seed), target_layer=m_layer - 1)
+    assert c.M == m_layer and not c.boxes
+    return c
+
+
+@pytest.mark.parametrize("spec", CEILING_STATES)
+def test_ceiling_matches_the_first_hit_oracle(spec, returns):
+    tv, limit = _probe_tv(_ceiling_state(spec), 41)
+    assert returns["_walk_to_boundary"] > 10_000 // 20
+    assert tv <= limit, f"TV {tv:.4f}"
+
+
+@pytest.mark.parametrize("spec", CEILING_STATES)
+def test_ceiling_keeps_the_law_of_the_immediate_return_walk(spec, returns):
+    c = _ceiling_state(spec)
+    trials = 3000
+    ref_rng = np.random.default_rng(42)
+    ref = [_immediate_return_walk(c, ref_rng) for _ in range(trials)]
+    rng = np.random.default_rng(43)
+    walked = [probe_particle(c, rng) for _ in range(trials)]
+    assert returns["_walk_to_boundary"] > trials // 20
+    kappa_ref = Counter(int(math.log2(kappa + 1)) for _, _, kappa, _ in ref)
+    kappa_new = Counter(int(math.log2(out.kappa + 1)) for out in walked)
+    site_ref = Counter((g, z) for g, z, _, _ in ref)
+    site_new = Counter((out.stick_g, out.H) for out in walked)
+    for a, b in ((kappa_ref, kappa_new), (site_ref, site_new)):
+        chi2 = chi_square_two_sample(a, b)
+        assert chi2.p_value > 0.01, chi2
+
+
+class _RowsUpTo(list):
+    """Sticking-map rows that fail on any read above layer ``top``."""
+
+    def __init__(self, rows, top):
+        super().__init__(rows)
+        self.top = top
+
+    def __getitem__(self, z):
+        assert z <= self.top, f"the walk read near[{z}] above M = {self.top}"
+        return super().__getitem__(z)
+
+
+def test_walk_reads_no_row_of_near_above_the_front(returns):
+    c = _box_state("cycle:64")
+    top = c.M
+    assert len(c.near) == top + 2 and dla.BOX in c.near[top + 1]
+    rng = np.random.default_rng(44)
+    outs = [probe_particle(c, rng) for _ in range(1000)]
+    guarded = copy.deepcopy(c)
+    guarded.near = _RowsUpTo(guarded.near, top)
+    rng = np.random.default_rng(44)
+    assert [probe_particle(guarded, rng) for _ in range(1000)] == outs
+    assert returns["_walk_to_boundary"] > 0 and all(out.H <= top for out in outs)
+
+
+def test_cap_is_exact_where_the_ceiling_fires(returns):
+    _assert_cap_is_exact(_ceiling_state("cycle:16"), returns)
 
 
 def test_cap_zero_draws_nothing_after_the_entry():
