@@ -17,7 +17,6 @@ import warnings
 from . import dla, render, verify
 from .cylinder import (
     DEFAULT_EXCURSION_CAP,
-    DEFAULT_START_OFFSET,
     SamplingRangeError,
     long_excursion_frequency,
 )
@@ -116,9 +115,7 @@ def cmd_mixing(args) -> int:
 
 def cmd_excursions(args) -> int:
     g = parse_graph_spec(args.spec)
-    study = long_excursion_frequency(
-        g, args.alpha, args.trials, args.seed, cap=args.cap, start_offset=args.offset
-    )
+    study = long_excursion_frequency(g, args.alpha, args.trials, args.seed, cap=args.cap)
     lines = ["trial,sign,g_steps,total_steps,alpha_long"]
     longs = (study.signs == 1) & ~study.capped & (study.g_steps >= study.alpha)
     for i in range(study.trials):
@@ -129,8 +126,7 @@ def cmd_excursions(args) -> int:
     bc = study.bound_check
     print(
         f"# positive {args.alpha:g}-long frequency {bc.estimate!r} vs lower bound "
-        f"{bc.bound_value!r}: {bc.verdict}; cap_hits={study.positive_long.cap_hits} "
-        f"floor_contacts={study.floor_contacts}",
+        f"{bc.bound_value!r}: {bc.verdict}; cap_hits={study.positive_long.cap_hits}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -266,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--cap", type=int, default=DEFAULT_EXCURSION_CAP, help="steps per excursion")
-    p.add_argument("--offset", type=int, default=DEFAULT_START_OFFSET, help="start layer")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_excursions)
 

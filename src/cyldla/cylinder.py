@@ -45,7 +45,6 @@ from .stats import BoundCheck, EstimateSummary, make_bound_check
 from .walk1d import sample_first_passage_moves
 
 DEFAULT_EXCURSION_CAP = 1_000_000
-DEFAULT_START_OFFSET = 1_000_000
 _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
 BOX_RADIUS = 10
@@ -147,7 +146,9 @@ class GTransitionSampler:
                 (math.log(_UNIFORM_TV_CUT) - math.log(0.5 * math.sqrt(g.n))) / math.log(lam)
             )
         else:
-            self._w, self._u = g.walk_spectrum
+            w, self._u = g.walk_spectrum
+            # +-1 taken exactly: a rounded 1 - 1e-16 would decay at huge gamma and empty the row
+            self._w = np.where(np.abs(w) >= 1.0 - spectral.EIG_TOL, np.sign(w), w)
 
     def sample(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         if gamma <= 0:
@@ -180,8 +181,8 @@ class GTransitionSampler:
         row = self._u @ (mags * self._u[g_start])
         row = np.clip(row, 0.0, None)
         total = row.sum()
-        if total <= 0.0:
-            return int(rng.integers(0, self.graph.n))
+        if not abs(total - 1.0) <= 1e-9:
+            raise RuntimeError(f"row {g_start} of P^{gamma} on {self.graph.label} sums to {total}")
         cdf = np.cumsum(row / total)
         return int(np.searchsorted(cdf, rng.random(), side="right"))
 
@@ -329,7 +330,6 @@ class ExcursionStudy:
     g_steps: np.ndarray
     lengths: np.ndarray
     capped: np.ndarray
-    floor_contacts: int
     positive_long: EstimateSummary
     negative_long: EstimateSummary
     bound: float
@@ -347,7 +347,7 @@ class ExcursionStudy:
 
 
 def _simulate_excursion_skeletons(
-    d: int, trials: int, cap: int, rng: np.random.Generator, start_offset: int
+    d: int, trials: int, cap: int, rng: np.random.Generator
 ):
     """Vectorized literal simulation of the vertical skeleton of excursions.
 
@@ -363,7 +363,6 @@ def _simulate_excursion_skeletons(
     g_steps = (first >= 2).astype(np.int64)
     lengths = np.ones(trials, dtype=np.int64)
     capped = np.zeros(trials, dtype=bool)
-    floor = np.zeros(trials, dtype=bool)
     active = np.nonzero(first < 2)[0]
     pos = vmap[first[active]]
     block = 64
@@ -373,7 +372,6 @@ def _simulate_excursion_skeletons(
         vmove = vmap[slots]
         rel = pos[:, None] + np.cumsum(vmove, axis=1)
         gcum = np.cumsum(slots >= 2, axis=1, dtype=np.int64)
-        runmin = np.minimum.accumulate(rel, axis=1)
         hit = rel == 0
         has = hit.any(axis=1)
         idx = np.argmax(hit, axis=1)
@@ -383,12 +381,10 @@ def _simulate_excursion_skeletons(
             cols = idx[fin]
             g_steps[rows] += gcum[fin, cols]
             lengths[rows] += cols + 1
-            floor[rows] |= start_offset + runmin[fin, cols] <= 0
         sur = np.nonzero(~has)[0]
         rows = active[sur]
         g_steps[rows] += gcum[sur, -1]
         lengths[rows] += block
-        floor[rows] |= start_offset + runmin[sur, -1] <= 0
         pos = rel[sur, -1]
         active = rows
         over = lengths[active] >= cap
@@ -398,7 +394,7 @@ def _simulate_excursion_skeletons(
             active = active[keep]
             pos = pos[keep]
         block = min(block * 2, 8192)
-    return signs, g_steps, lengths, capped, floor
+    return signs, g_steps, lengths, capped
 
 
 def long_excursion_probability_bound(d: int, alpha: float) -> float:
@@ -414,24 +410,19 @@ def long_excursion_frequency(
     trials: int,
     seed,
     cap: int = DEFAULT_EXCURSION_CAP,
-    start_offset: int = DEFAULT_START_OFFSET,
 ) -> ExcursionStudy:
     """Simulate independent excursions and check the alpha-long lower bound.
 
-    Excursions start at a layer ``start_offset`` above the floor, so floor
-    effects are negligible; any literal contact with layer 0 is counted in
-    ``floor_contacts``.  Excursions that outrun ``cap`` steps are reported
-    separately and count as not alpha-long, which only makes the lower-bound
-    check more conservative.
+    Excursions that outrun ``cap`` steps are reported separately and count
+    as not alpha-long, which only makes the lower-bound check more
+    conservative.
     """
     if alpha < 2:
         raise ValueError("alpha must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    signs, g_steps, lengths, capped, floor = _simulate_excursion_skeletons(
-        g.d, trials, cap, rng, start_offset
-    )
+    signs, g_steps, lengths, capped = _simulate_excursion_skeletons(g.d, trials, cap, rng)
     ok = ~capped & (g_steps >= alpha)
     pos_long = int(((signs == 1) & ok).sum())
     neg_long = int(((signs == -1) & ok).sum())
@@ -450,7 +441,6 @@ def long_excursion_frequency(
         g_steps=g_steps,
         lengths=lengths,
         capped=capped,
-        floor_contacts=int(floor.sum()),
         positive_long=pos_summary,
         negative_long=neg_summary,
         bound=bound,

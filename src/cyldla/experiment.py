@@ -279,8 +279,6 @@ def _consistency_check(
 class NewLayerResult:
     summary: EstimateSummary
     bound_check: BoundCheck | None
-    boundary_top: int
-    descriptive_upper: float
     outcomes: tuple
 
 
@@ -295,15 +293,12 @@ def estimate_new_layer_probability(
 
     The state is restored for every trial (probes never commit).  For
     vertex-transitive bases the frequency is checked against the lower bound
-    (2d+2)/((d+2)n).  The descriptive upper reference value
-    |boundary at top layer| / n^(1/10) is reported without a verdict since
-    its constant is uncalibrated.
+    (2d+2)/((d+2)n).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     cluster = cluster if cluster is not None else dla.new_cluster(graph)
-    m_layer = cluster.M
     hits = 0
     outcomes = []
     for i in range(trials):
@@ -320,10 +315,7 @@ def estimate_new_layer_probability(
             ">=",
             summary,
         )
-    boundary_top = sum(1 for g in range(graph.n) if cluster.occ[m_layer - 1][g])
-    return NewLayerResult(
-        summary, check, boundary_top, boundary_top / graph.n**0.1, tuple(outcomes)
-    )
+    return NewLayerResult(summary, check, tuple(outcomes))
 
 
 @dataclass(frozen=True)

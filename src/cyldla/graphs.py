@@ -56,9 +56,9 @@ class RegularGraph:
     def walk_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors of A/d.
 
-        The one decomposition of the base walk: the spectral profile and the
-        excursion sampler both read it.  The arrays are shared, so they are
-        returned read-only.
+        The one decomposition of the base walk: the spectral profile, the
+        excursion sampler and the first-hit oracle's excursion kernel read
+        it.  The arrays are shared, so they are returned read-only.
         """
         w, u = np.linalg.eigh(self.transition_matrix())
         w.flags.writeable = False

@@ -1,11 +1,10 @@
 """Independent oracles used to verify the simulator.
 
-The first-hit oracle computes the exact sticking distribution of the next
-particle on a fixed cluster from the absorbing chain on the cylinder
-truncated at a reflecting top layer.  Only the start row of that chain's
-hitting matrix is wanted, so it makes one sparse solve of the transposed
-system; ``scipy.sparse`` is imported inside the solve, so importing this
-module (and ``cyldla.verify``, which imports it) loads no scipy.  It shares no
+The first-hit oracle gives the exact sticking distribution of the next
+particle on a fixed cluster: the absorbing chain on layers 1..M, closed at
+the lowest empty layer M by the excursion kernel K, with one sparse solve
+for its start row.  ``scipy.sparse`` is imported inside the solve, so
+importing this module (and ``cyldla.verify``) loads no scipy.  It shares no
 code path with the walk simulation, so agreement between the two is a real
 check.
 """
@@ -13,34 +12,59 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import spectral
 from .dla import Cluster
+from .graphs import RegularGraph
+
+KERNEL_TOL = 1e-12
 
 
-def first_hit_distribution(cluster: Cluster, truncate_layer: int) -> dict[tuple[int, int], float]:
-    """Exact stick distribution of the next particle, truncated at a layer.
+def excursion_kernel(g: RegularGraph) -> np.ndarray:
+    """Law K[g, h] of the base vertex h at which a walk that steps up from
+    vertex g of a layer, with nothing above it, first returns to that layer.
 
-    States above ``truncate_layer`` are removed and the top layer reflects
-    (no up move there).  With Q the transient-to-transient and R the
+    Each vertical move follows a geometric number of slot moves, h(P) =
+    q (I - (1-q) P)^-1 with q = 2/(d+2), and the vertical moves of the return
+    have the first-passage generating function F(x) = (1 - sqrt(1 - x^2))/x,
+    so K = U diag(F(h(w))) U^T.  With w = 1 taken exactly and b = q/h(w) =
+    q + (1-q)(1-w), F(h(w)) = q / (b + sqrt((1-q)(1-w)(b+q))) has no
+    cancellation at its singularity w = 1.
+    """
+    w, u = g.walk_spectrum
+    if abs(w[-1] - 1.0) > spectral.EIG_TOL:
+        raise RuntimeError(f"top eigenvalue {w[-1]} of {g.label} differs from 1 beyond tolerance")
+    q = 2.0 / (g.d + 2)
+    gap = np.append(1.0 - w[:-1], 0.0)
+    b = q + (1.0 - q) * gap
+    k = (u * (q / (b + np.sqrt((1.0 - q) * gap * (b + q))))) @ u.T
+    if not (np.all(k >= -KERNEL_TOL) and np.all(np.abs(k.sum(axis=1) - 1.0) <= KERNEL_TOL)):
+        raise RuntimeError(f"excursion kernel of {g.label} is not stochastic within {KERNEL_TOL}")
+    return np.maximum(k, 0.0)
+
+
+def first_hit_distribution(cluster: Cluster, top: int | None = None) -> dict[tuple[int, int], float]:
+    """Exact stick distribution of the next particle.
+
+    The chain runs on layers 1..``top`` (default M, the smallest system; every
+    ``top`` >= M gives the same law).  Each transient state has d + 2 options
+    of probability 1/(d+2): up, down and the neighbour slots, and the up
+    option from layer ``top`` comes back to it through the state's row of
+    :func:`excursion_kernel`.  With Q the transient-to-transient and R the
     transient-to-boundary steps, and s the uniform start on layer M split
-    into its transient part s_t and boundary part s_abs, the law is
-    s_abs + Rᵀ y where (I − Q)ᵀ y = s_t: one sparse solve for the start row
-    only, with y the expected visits to each transient state.  The walk mixes
-    in the base during any long excursion, so the truncation error decays
-    rapidly in the truncation height; callers should confirm stability by
-    doubling it.
+    into s_t and s_abs, the law is s_abs + Rᵀ y where (I − Q)ᵀ y = s_t.
     """
     from scipy.sparse import coo_matrix, identity
     from scipy.sparse.linalg import spsolve
 
     graph = cluster.graph
-    n = graph.n
-    top = truncate_layer
-    if top <= cluster.M:
-        raise ValueError("truncation must lie above the lowest empty layer")
+    n, d = graph.n, graph.d
+    top = cluster.M if top is None else top
+    if top < cluster.M:
+        raise ValueError("the closing layer must not lie below the lowest empty layer M")
     held = min(len(cluster.occ), top + 2)
     occ = np.zeros((top + 2, n), dtype=bool)
     occ[:held] = np.frombuffer(b"".join(cluster.occ[:held]), dtype=np.uint8).reshape(held, n)
-    nbrs = np.array(graph.neighbors, dtype=np.intp).reshape(n, graph.d)
+    nbrs = np.array(graph.neighbors, dtype=np.intp).reshape(n, d)
     # layers 1..top; a loop neighbour is the free vertex itself, so it never touches
     layer = occ[1 : top + 1]
     touch = occ[:top] | occ[2:] | layer[:, nbrs].any(axis=2)
@@ -54,29 +78,30 @@ def first_hit_distribution(cluster: Cluster, truncate_layer: int) -> dict[tuple[
     a_index[1 : top + 1][absorbing] = np.arange(na)
     tz, tg = np.nonzero(transient)
     tz += 1
-    # one row of options per transient state, in the order up, down, neighbours;
-    # the top layer reflects, so its up option is dropped
-    to_z = np.empty((nt, graph.d + 2), dtype=np.intp)
-    to_g = np.empty_like(to_z)
-    to_z[:, 0], to_z[:, 1], to_z[:, 2:] = tz + 1, tz - 1, tz[:, None]
-    to_g[:, :2], to_g[:, 2:] = tg[:, None], nbrs[tg]
-    valid = np.ones(to_z.shape, dtype=bool)
-    valid[:, 0] = tz < top
-    p = np.broadcast_to((1.0 / valid.sum(axis=1))[:, None], valid.shape)
-    src = np.broadcast_to(np.arange(nt)[:, None], valid.shape)
+    # the options as (source, layer, vertex, weight): down and the neighbours,
+    # up from below the top, and up from the top back to it through K
+    near_z = np.column_stack([tz - 1, np.repeat(tz[:, None], d, axis=1)])
+    up, back = np.flatnonzero(tz < top), np.flatnonzero(tz == top)
+    src = np.concatenate([np.repeat(np.arange(nt), d + 1), up, np.repeat(back, n)])
+    to_z = np.concatenate([near_z.ravel(), tz[up] + 1, np.full(back.size * n, top)])
+    near_g = np.column_stack([tg, nbrs[tg]])
+    to_g = np.concatenate([near_g.ravel(), tg[up], np.tile(np.arange(n), back.size)])
+    kernel_rows = excursion_kernel(graph)[tg[back]].ravel()
+    weight = np.concatenate([np.ones(nt * (d + 1) + up.size), kernel_rows]) / (d + 2)
     ti = t_index[to_z, to_g]
     ai = a_index[to_z, to_g]
-    stray = valid & (ti < 0) & (ai < 0)
+    stray = (ti < 0) & (ai < 0)
     if stray.any():
-        i, k = np.argwhere(stray)[0]
+        i = int(np.flatnonzero(stray)[0])
+        s = src[i]
         raise RuntimeError(
-            f"transient state {(int(tg[i]), int(tz[i]))} leads to {(int(to_g[i, k]), int(to_z[i, k]))}, "
+            f"transient state {(int(tg[s]), int(tz[s]))} leads to {(int(to_g[i]), int(to_z[i]))}, "
             "which is neither transient nor boundary; the cluster state is inconsistent"
         )
-    to_q = valid & (ti >= 0)
-    to_r = valid & (ai >= 0)
-    q = coo_matrix((p[to_q], (src[to_q], ti[to_q])), shape=(nt, nt))
-    r = coo_matrix((p[to_r], (src[to_r], ai[to_r])), shape=(nt, na))
+    to_q = ti >= 0
+    to_r = ai >= 0
+    q = coo_matrix((weight[to_q], (src[to_q], ti[to_q])), shape=(nt, nt))
+    r = coo_matrix((weight[to_r], (src[to_r], ai[to_r])), shape=(nt, na))
     start_t = np.zeros(nt)
     start_abs = np.zeros(na)
     m_t, m_a = t_index[cluster.M], a_index[cluster.M]

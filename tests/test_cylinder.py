@@ -167,6 +167,25 @@ def test_generic_routes_draw_hops_then_uniform():
     assert stripped.lattice is None and GTransitionSampler(stripped).uniform_cut is None
 
 
+def test_eigen_route_rejects_a_row_that_is_not_a_law():
+    kernel = GTransitionSampler(_base("cycle:6+loops-stripped"))
+    kernel._u = np.zeros_like(kernel._u)  # this instance only: the graph's spectrum is untouched
+    with pytest.raises(RuntimeError, match=r"row 2 of P\^100 .* sums to 0"):
+        kernel.sample(2, 100, np.random.default_rng(1))
+    assert GTransitionSampler(kernel.graph).sample(2, 100, np.random.default_rng(1)) in range(kernel.graph.n)
+
+
+def test_eigen_route_keeps_parity_at_huge_gamma():
+    # the graph's eigh gives 1 - 1.1e-16 and -1 + 2.2e-16 here; taken as
+    # computed, P^gamma's row would lose its mass from gamma near 1e7 on
+    g = _base("cycle:6+loops-stripped")
+    kernel = GTransitionSampler(g)
+    rng = np.random.default_rng(43)
+    for gamma in (10**7, 10**12, 9 * 10**18, 9 * 10**18 + 1):
+        draws = [kernel.sample(2, gamma, rng) for _ in range(50)]
+        assert all((v - 2 - gamma) % 2 == 0 for v in draws), gamma
+
+
 def test_walk_slots_consumes_doubling_blocks():
     rng = np.random.default_rng(9)
     slots = walk_slots(rng, slot_table(2))
@@ -222,7 +241,6 @@ def test_long_excursion_frequency_bound_and_symmetry():
     study = long_excursion_frequency(g, alpha=2.0, trials=50_000, seed=1)
     assert study.positive_long.mean > study.bound - 3 * study.positive_long.std_error
     assert study.symmetry_gap <= 3 * study.symmetry_sigma
-    assert study.floor_contacts == 0  # offset keeps the walk far from the floor
     # accounting: flat excursions have one g-step and length one
     flat = study.signs == 0
     assert np.all(study.g_steps[flat] == 1) and np.all(study.lengths[flat] == 1)

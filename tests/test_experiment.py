@@ -101,8 +101,6 @@ def test_new_layer_probability_after_one_particle():
     # (2d+2)/((d+2)n) with d=2, n=3
     assert res.bound_check.bound_value == pytest.approx(6 / 12)
     assert res.summary.mean >= res.bound_check.bound_value - 3 * res.summary.std_error
-    assert res.boundary_top == 1
-    assert res.descriptive_upper == pytest.approx(1 / 3**0.1)
 
 
 def test_fit_gamma_self_tests():

@@ -3,14 +3,19 @@ import pytest
 
 from cyldla.dla import drop_particle, grow, is_boundary, new_cluster
 from cyldla.graphs import add_self_loops, make_complete, make_cycle, parse_graph_spec
-from cyldla.oracles import first_hit_distribution, total_variation
+from cyldla.oracles import excursion_kernel, first_hit_distribution
 
 
-def dense_first_hit(cluster, truncate_layer):
-    """Reference: the start row of the dense hitting matrix solve(I - Q, R)."""
+def dense_first_hit(cluster, top, kernel=None):
+    """Reference: the start row of the dense hitting matrix solve(I - Q, R).
+
+    With ``kernel`` the up move from layer ``top`` returns to that layer
+    through the kernel's row; without it the top layer reflects (its up move
+    is dropped), which is exact only in the limit of a high top.
+    """
     n = cluster.graph.n
     transient, absorbing = [], []
-    for z in range(1, truncate_layer + 1):
+    for z in range(1, top + 1):
         for g in range(n):
             if z < len(cluster.occ) and cluster.occ[z][g]:
                 continue
@@ -20,13 +25,17 @@ def dense_first_hit(cluster, truncate_layer):
     q = np.zeros((len(transient), len(transient)))
     r = np.zeros((len(transient), len(absorbing)))
     for (g, z), i in ti.items():
-        moves = ([(g, z + 1)] if z < truncate_layer else []) + [(g, z - 1)]
-        moves += [(u, z) for u in cluster.graph.neighbors[g]]
-        for s in moves:
+        moves = [((g, z - 1), 1.0)] + [((u, z), 1.0) for u in cluster.graph.neighbors[g]]
+        if z < top:
+            moves.append(((g, z + 1), 1.0))
+        elif kernel is not None:
+            moves += [((h, z), kernel[g, h]) for h in range(n)]
+        total = len(cluster.graph.neighbors[g]) + (2 if z < top or kernel is not None else 1)
+        for s, weight in moves:
             if s in ti:
-                q[i, ti[s]] += 1.0 / len(moves)
+                q[i, ti[s]] += weight / total
             else:
-                r[i, ai[s]] += 1.0 / len(moves)
+                r[i, ai[s]] += weight / total
     hit = np.linalg.solve(np.eye(len(transient)) - q, r)
     start = np.zeros(len(absorbing))
     for g in range(n):
@@ -36,6 +45,27 @@ def dense_first_hit(cluster, truncate_layer):
         else:
             start += hit[ti[s]] / n
     return {s: float(p) for s, p in zip(absorbing, start) if p > 0.0}
+
+
+def strip_kernel(graph, height=60):
+    """Reference K: first return to layer 0 from (g, 1) on an empty strip of
+    layers 1..height with a reflecting top, by one dense solve."""
+    n = graph.n
+    q = np.zeros((n * height, n * height))
+    r = np.zeros((n * height, n))
+    for z in range(height):  # state z * n + g is (g, z + 1)
+        for g in range(n):
+            i = z * n + g
+            total = graph.d + (2 if z < height - 1 else 1)
+            for u in graph.neighbors[g]:
+                q[i, z * n + u] += 1.0 / total
+            if z < height - 1:
+                q[i, i + n] += 1.0 / total
+            if z > 0:
+                q[i, i - n] += 1.0 / total
+            else:
+                r[i, g] += 1.0 / total
+    return np.linalg.solve(np.eye(n * height) - q, r)[:n]
 
 
 def _stream(seed, key):
@@ -49,6 +79,7 @@ GROWN = {
 }
 # the two oracle-check states: spec, target layer, M, each grown from stream (7, k)
 ORACLE_CHECK = {"cycle:16": (0, 12, 13), "random:40:3:seed=2": (1, 8, 9)}
+STATES = ["complete:3", *GROWN, *ORACLE_CHECK]
 
 
 def _state(label):
@@ -67,36 +98,55 @@ def _state(label):
     return c
 
 
-@pytest.mark.parametrize("label", ["complete:3", *GROWN, *ORACLE_CHECK])
+def _max_gap(got, want):
+    assert got.keys() == want.keys()
+    return max(abs(got[s] - want[s]) for s in want)
+
+
+@pytest.mark.parametrize("label", STATES)
 def test_sparse_solve_matches_dense_reference(label):
     cluster = _state(label)
+    kernel = strip_kernel(cluster.graph)
     t = cluster.M + 28
-    # Q is symmetric below the reflecting top layer, so only a low top can
-    # tell (I - Q)^T from I - Q
-    for truncate in (cluster.M + 1, t, 2 * t):
-        got = first_hit_distribution(cluster, truncate)
-        want = dense_first_hit(cluster, truncate)
-        assert got.keys() == want.keys()
-        assert max(abs(got[s] - want[s]) for s in want) < 1e-12
+    for top in (cluster.M, cluster.M + 1, t, 2 * t):
+        got = first_hit_distribution(cluster, top)
+        assert _max_gap(got, dense_first_hit(cluster, top, kernel)) < 1e-12
         assert abs(sum(got.values()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("label", STATES)
+def test_exact_law_matches_the_reflecting_chain_at_a_high_top(label):
+    cluster = _state(label)
+    reflecting = dense_first_hit(cluster, 2 * (cluster.M + 28))
+    assert _max_gap(first_hit_distribution(cluster), reflecting) < 1e-9
+
+
+@pytest.mark.parametrize("spec", ["complete:3", "cycle:6", "random:12:3:seed=2"])
+def test_excursion_kernel_is_the_strip_first_return_law(spec):
+    graph = parse_graph_spec(spec)
+    k = excursion_kernel(graph)
+    assert k.shape == (graph.n, graph.n)
+    assert (k >= 0.0).all()
+    assert np.abs(k.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(k - k.T).max() <= 1e-12
+    assert np.abs(k - strip_kernel(graph)).max() <= 1e-9
+
+
 def test_first_hit_at_workload_scale():
-    # dense Q would need about 7 GB at 4T here
+    # the dense reference would need about 7 GB at the highest top here
     c = new_cluster(parse_graph_spec("cycle:128"))
     grow(c, np.random.default_rng(5), target_layer=30)
     assert c.M == 31
-    t = c.M + 28
-    laws = [first_hit_distribution(c, k * t) for k in (1, 2, 4)]
-    for law in laws:
-        assert abs(sum(law.values()) - 1.0) < 1e-9
-        assert all(is_boundary(c, s) for s in law)
-    assert total_variation(laws[1], laws[2]) < total_variation(laws[0], laws[1])
+    law = first_hit_distribution(c)
+    assert abs(sum(law.values()) - 1.0) < 1e-9
+    assert all(is_boundary(c, s) for s in law)
+    for top in (c.M + 1, c.M + 28, 2 * (c.M + 28)):
+        assert _max_gap(first_hit_distribution(c, top), law) < 1e-12
 
 
-def test_truncation_at_or_below_the_front_is_rejected():
+def test_closing_below_the_front_is_rejected():
     c = new_cluster(make_cycle(6))
     grow(c, np.random.default_rng(3), particles=10)
-    for truncate in (c.M - 1, c.M):
-        with pytest.raises(ValueError, match="truncation"):
-            first_hit_distribution(c, truncate)
+    for top in (1, c.M - 1):
+        with pytest.raises(ValueError, match="closing layer"):
+            first_hit_distribution(c, top)
