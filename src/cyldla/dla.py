@@ -103,26 +103,26 @@ class Cluster:
     and ``stick_log`` records (t, vertex, layer) per particle.
     ``near[z][g]`` is 1 exactly when (g, z) is occupied or has an occupied
     neighbour: (g, z +- 1), or (u, z) for a non-loop base neighbour u.  A
-    free vertex with ``near`` 1 is a boundary vertex.  When ``boxes`` is set
-    (a cycle base of at least 2R + 2 vertices and the fair walk), ``near``
-    is ``BOX`` where no occupied vertex lies within L-infinity distance R =
-    ``BOX_RADIUS``, columns counted round the cycle.  Both ``occ`` and
-    ``near`` hold M + 2 layers and are written only by :func:`_commit`.
-    ``vertical_loops`` is zero for the fair walk; otherwise each vertex
-    carries that many extra slots that resolve to a fair vertical move (see
-    :func:`cyldla.cylinder.slot_table`, held as ``slot_table``).  A cluster
-    holds no random state: each drop draws from the generator it is given.
+    free vertex with ``near`` 1 is a boundary vertex.  ``slot_table`` is the
+    walk law (see :func:`cyldla.cylinder.slot_table`) and its one record: the
+    walker, the return draw, the box test and the first-hit oracle all read
+    it.  When ``boxes`` is set (a cycle base of at least 2R + 2 vertices and
+    the fair walk), ``near`` is ``BOX`` where no occupied vertex lies within
+    L-infinity distance R = ``BOX_RADIUS``, columns counted round the cycle.
+    Both ``occ`` and ``near`` hold M + 2 layers and are written only by
+    :func:`_commit`.  A cluster holds no random state: each drop draws from
+    the generator it is given.
     Confine one cluster to one thread; independent replicas may run
     concurrently.
     """
 
     def __init__(self, graph: RegularGraph, vertical_loops: int = 0):
         self.graph = graph
-        self.vertical_loops = vertical_loops
         self.slot_table = slot_table(graph.d, vertical_loops)
+        self._vertical_prob = float(np.bincount(self.slot_table)[:2].sum() / self.slot_table.size)
         lattice = graph.lattice
         self.boxes = (
-            vertical_loops == 0
+            np.array_equal(self.slot_table, np.arange(graph.d + 2))
             and lattice is not None
             and len(lattice[0]) == 1
             and graph.n >= 2 * BOX_RADIUS + 2
@@ -143,9 +143,8 @@ class Cluster:
         return self._kernel
 
     def vertical_prob(self) -> float:
-        """Chance that one step is vertical, (2 + loops) / (d + loops + 2)."""
-        loops = self.vertical_loops
-        return (2 + loops) / (self.graph.d + loops + 2)
+        """Chance that one step is vertical: the slot table's share of up and down."""
+        return self._vertical_prob
 
     def _ensure_capacity(self) -> None:
         while len(self.occ) < self.M + 2:

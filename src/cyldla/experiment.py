@@ -7,6 +7,7 @@ and may be farmed out externally without changing any output.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -50,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("target layers must be >= 1")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.probe_trials < 0:
+            raise ValueError("probe trials must be >= 0")
         phi = self.overshoot()
         if phi < 1:
             raise ValueError("density overshoot must be >= 1")
@@ -435,33 +438,28 @@ def run_sweep(config: ExperimentConfig) -> SweepOutputs:
     growth_path = os.path.join(config.output_dir, "growth.csv")
     density_path = os.path.join(config.output_dir, "density.csv")
     probes_path = os.path.join(config.output_dir, "probes.csv")
+    files = [
+        (growth_path, "replica,m,T_m", growth_csv_rows(result.clusters, config.target_layers)),
+        (density_path, "replica,m,phi,D_m", density_csv_rows(result)),
+    ]
+    if config.probe_trials > 0:
+        probe = estimate_new_layer_probability(
+            result.graph,
+            config.probe_trials,
+            replica_rng(config.base_seed, config.replicas),
+            cluster=result.clusters[0],
+            cap=config.step_cap,
+        )
+        probe_rows = [(trial, kappa, h, int(new), low) for trial, kappa, h, new, low in probe.outcomes]
+        files.append((probes_path, "trial,kappa,H,new_layer,min_layer", probe_rows))
     written = []
     try:
-        growth_rows = growth_csv_rows(result.clusters, config.target_layers)
-        _write_csv(growth_path, chash, "replica,m,T_m", growth_rows)
-        written.append(growth_path)
-        _write_csv(density_path, chash, "replica,m,phi,D_m", density_csv_rows(result))
-        written.append(density_path)
-        if config.probe_trials > 0:
-            probe = estimate_new_layer_probability(
-                result.graph,
-                config.probe_trials,
-                replica_rng(config.base_seed, config.replicas),
-                cluster=result.clusters[0],
-                cap=config.step_cap,
-            )
-            probe_rows = [
-                (trial, kappa, h, int(new), min_layer)
-                for trial, kappa, h, new, min_layer in probe.outcomes
-            ]
-            _write_csv(probes_path, chash, "trial,kappa,H,new_layer,min_layer", probe_rows)
-            written.append(probes_path)
-            return SweepOutputs(growth_path, density_path, probes_path)
-        return SweepOutputs(growth_path, density_path, None)
+        for path, header, rows in files:
+            written.append(path)  # before the file is opened, so a failed write is removed too
+            _write_csv(path, chash, header, rows)
     except BaseException:
         for path in written:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
         raise
+    return SweepOutputs(growth_path, density_path, probes_path if config.probe_trials > 0 else None)

@@ -4,9 +4,9 @@ The first-hit oracle gives the exact sticking distribution of the next
 particle on a fixed cluster: the absorbing chain on layers 1..M, closed at
 the lowest empty layer M by the excursion kernel K, with one sparse solve
 for its start row.  ``scipy.sparse`` is imported inside the solve, so
-importing this module (and ``cyldla.verify``) loads no scipy.  It shares no
-code path with the walk simulation, so agreement between the two is a real
-check.
+importing this module (and ``cyldla.verify``) loads no scipy.  It reads the
+walk law from the cluster's slot table and shares no other code with the
+walk simulation, so agreement between the two is a real check.
 """
 from __future__ import annotations
 
@@ -19,21 +19,21 @@ from .graphs import RegularGraph
 KERNEL_TOL = 1e-12
 
 
-def excursion_kernel(g: RegularGraph) -> np.ndarray:
+def excursion_kernel(g: RegularGraph, q: float) -> np.ndarray:
     """Law K[g, h] of the base vertex h at which a walk that steps up from
     vertex g of a layer, with nothing above it, first returns to that layer.
 
-    Each vertical move follows a geometric number of slot moves, h(P) =
-    q (I - (1-q) P)^-1 with q = 2/(d+2), and the vertical moves of the return
-    have the first-passage generating function F(x) = (1 - sqrt(1 - x^2))/x,
-    so K = U diag(F(h(w))) U^T.  With w = 1 taken exactly and b = q/h(w) =
-    q + (1-q)(1-w), F(h(w)) = q / (b + sqrt((1-q)(1-w)(b+q))) has no
-    cancellation at its singularity w = 1.
+    A step is vertical with probability ``q``, up or down alike, and else
+    moves to a uniform base neighbour.  So each vertical move follows a
+    geometric number of base moves, h(P) = q (I - (1-q) P)^-1, and the
+    vertical moves of the return have the first-passage generating function
+    F(x) = (1 - sqrt(1 - x^2))/x, so K = U diag(F(h(w))) U^T.  With w = 1
+    taken exactly and b = q/h(w) = q + (1-q)(1-w), F(h(w)) =
+    q / (b + sqrt((1-q)(1-w)(b+q))) has no cancellation at its singularity.
     """
     w, u = g.walk_spectrum
     if abs(w[-1] - 1.0) > spectral.EIG_TOL:
         raise RuntimeError(f"top eigenvalue {w[-1]} of {g.label} differs from 1 beyond tolerance")
-    q = 2.0 / (g.d + 2)
     gap = np.append(1.0 - w[:-1], 0.0)
     b = q + (1.0 - q) * gap
     k = (u * (q / (b + np.sqrt((1.0 - q) * gap * (b + q))))) @ u.T
@@ -46,12 +46,14 @@ def first_hit_distribution(cluster: Cluster, top: int | None = None) -> dict[tup
     """Exact stick distribution of the next particle.
 
     The chain runs on layers 1..``top`` (default M, the smallest system; every
-    ``top`` >= M gives the same law).  Each transient state has d + 2 options
-    of probability 1/(d+2): up, down and the neighbour slots, and the up
-    option from layer ``top`` comes back to it through the state's row of
-    :func:`excursion_kernel`.  With Q the transient-to-transient and R the
-    transient-to-boundary steps, and s the uniform start on layer M split
-    into s_t and s_abs, the law is s_abs + Rᵀ y where (I − Q)ᵀ y = s_t.
+    ``top`` >= M gives the same law).  The walk law is the cluster's
+    ``slot_table``, as for its walker: with c the count of each walker slot
+    in it, a transient state moves up, down or to each neighbour with
+    probability c[slot] / c.sum(), and the up option from layer ``top`` comes
+    back to it through the state's row of :func:`excursion_kernel`.  With Q
+    the transient-to-transient and R the transient-to-boundary steps, and s
+    the uniform start on layer M split into s_t and s_abs, the law is
+    s_abs + Rᵀ y where (I − Q)ᵀ y = s_t.
     """
     from scipy.sparse import coo_matrix, identity
     from scipy.sparse.linalg import spsolve
@@ -65,6 +67,7 @@ def first_hit_distribution(cluster: Cluster, top: int | None = None) -> dict[tup
     occ = np.zeros((top + 2, n), dtype=bool)
     occ[:held] = np.frombuffer(b"".join(cluster.occ[:held]), dtype=np.uint8).reshape(held, n)
     nbrs = np.array(graph.neighbors, dtype=np.intp).reshape(n, d)
+    c = np.bincount(cluster.slot_table, minlength=d + 2)  # weight of each walker slot
     # layers 1..top; a loop neighbour is the free vertex itself, so it never touches
     layer = occ[1 : top + 1]
     touch = occ[:top] | occ[2:] | layer[:, nbrs].any(axis=2)
@@ -86,8 +89,8 @@ def first_hit_distribution(cluster: Cluster, top: int | None = None) -> dict[tup
     to_z = np.concatenate([near_z.ravel(), tz[up] + 1, np.full(back.size * n, top)])
     near_g = np.column_stack([tg, nbrs[tg]])
     to_g = np.concatenate([near_g.ravel(), tg[up], np.tile(np.arange(n), back.size)])
-    kernel_rows = excursion_kernel(graph)[tg[back]].ravel()
-    weight = np.concatenate([np.ones(nt * (d + 1) + up.size), kernel_rows]) / (d + 2)
+    kernel_rows = excursion_kernel(graph, (c[0] + c[1]) / c.sum())[tg[back]].ravel()
+    weight = np.concatenate([np.tile(c[1:], nt), np.full(up.size, c[0]), c[0] * kernel_rows]) / c.sum()
     ti = t_index[to_z, to_g]
     ai = a_index[to_z, to_g]
     stray = (ti < 0) & (ai < 0)

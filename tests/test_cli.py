@@ -83,6 +83,15 @@ def test_bad_graph_spec_exits_two(capsys):
     assert "error:" in err
 
 
+def test_negative_probe_count_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "cycle:6", "--layers", "2", "--probes", "-3", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert err.splitlines()[-1] == "error: probe trials must be >= 0"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tiny_cap_exits_three(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "cycle:16", "--layers", "8", "--replicas", "2",

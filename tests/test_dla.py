@@ -283,6 +283,7 @@ def test_boxes_fit_only_on_wide_cycles_with_the_fair_walk():
     for graph in (make_torus(2 * r + 2, 2), add_self_loops(make_cycle(2 * r + 2)), make_complete(30)):
         assert not new_cluster(graph).boxes
     assert not negative_control_cluster(add_self_loops(make_cycle(2 * r + 2))).boxes
+    assert not dla.Cluster(make_cycle(2 * r + 2), vertical_loops=1).boxes  # the table is not fair
     # every layer below M holds a stick, so a box spanning the whole cycle never fits
     narrow = new_cluster(make_cycle(2 * r + 1))
     grow(narrow, np.random.default_rng(36), target_layer=3 * r)
@@ -400,7 +401,7 @@ def test_negative_control_law_exact(loops):
         g = add_self_loops(g)
     d = g.d  # slots per vertex, loops included
     c = negative_control_cluster(g)
-    assert c.vertical_loops == loops and c.graph.d == d - loops
+    assert c.graph.d == d - loops
     assert all(v not in row for v, row in enumerate(c.graph.neighbors))
     table = c.slot_table
     counts = Counter(int(s) for s in table)
@@ -410,6 +411,20 @@ def test_negative_control_law_exact(loops):
     assert all(prob[s] == Fraction(1, d + 2) for s in range(2, c.graph.d + 2))
     assert c.vertical_prob() == float(prob[0] + prob[1])
     assert new_cluster(g).vertical_prob() == 2 / (d + 2)
+
+
+@pytest.mark.parametrize("base", [make_cycle(6), make_complete(4)], ids=["cycle:6", "complete:4"])
+def test_first_hit_oracle_runs_the_negative_control_law(base):
+    # the oracle reads the cluster's own walk law: probes on a negative
+    # control match its law, and the fair law on the same occupancy is far
+    c = negative_control_cluster(add_self_loops(base))
+    grow(c, np.random.default_rng(3), particles=10)
+    fair = new_cluster(c.graph)
+    for _, g, z in c.stick_log:
+        dla._commit(fair, g, z)
+    tv, limit = _probe_tv(c, 51, trials=20_000)
+    assert tv <= limit, f"TV {tv:.4f}"
+    assert total_variation(first_hit_distribution(fair), first_hit_distribution(c)) > limit
 
 
 def test_loop_equivalence_self_test_identical_streams():

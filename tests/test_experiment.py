@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cyldla import dla
+from cyldla import dla, experiment
 from cyldla.experiment import (
     ExperimentConfig,
+    csv_lines,
     estimate_T,
     estimate_density,
     estimate_new_layer_probability,
@@ -37,6 +38,8 @@ def test_config_validation_and_hash():
         ExperimentConfig(graph_spec="cycle:6", target_layers=(0,))
     with pytest.raises(ValueError):
         ExperimentConfig(graph_spec="cycle:6", target_layers=(3,), replicas=0)
+    with pytest.raises(ValueError, match="probe trials"):
+        ExperimentConfig(graph_spec="cycle:6", target_layers=(3,), probe_trials=-3)
 
 
 def test_config_warns_on_large_overshoot():
@@ -184,6 +187,26 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
     plines = open(out_a.probes_csv).read().splitlines()
     assert plines[1] == "trial,kappa,H,new_layer,min_layer"
     assert len(plines) == 2 + 5
+
+
+def test_run_sweep_removes_the_file_it_was_writing(tmp_path, monkeypatch):
+    # the second CSV fails after its file is opened: neither file is left
+    calls = []
+
+    def failing_lines(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("disk went away")
+        return csv_lines(*args)
+
+    monkeypatch.setattr(experiment, "csv_lines", failing_lines)
+    cfg = _quiet_config(
+        graph_spec="cycle:5", target_layers=(2,), replicas=1, base_seed=0, output_dir=str(tmp_path)
+    )
+    with pytest.raises(RuntimeError, match="disk went away"):
+        run_sweep(cfg)
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_sweep_requires_output_dir():

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
-from cyldla.dla import drop_particle, grow, is_boundary, new_cluster
+from cyldla.dla import drop_particle, grow, is_boundary, negative_control_cluster, new_cluster
 from cyldla.graphs import add_self_loops, make_complete, make_cycle, parse_graph_spec
 from cyldla.oracles import excursion_kernel, first_hit_distribution
 
 
-def dense_first_hit(cluster, top, kernel=None):
+def _law(graph, loops):
+    """One step's probabilities as the negative control defines them: with
+    D = d + loops, each neighbour 1/(D+2), and up and down each
+    (2+loops)/(2(D+2)).  ``loops`` = 0 is the fair walk."""
+    big_d = graph.d + loops
+    return 1.0 / (big_d + 2), (2 + loops) / (2 * (big_d + 2))
+
+
+def dense_first_hit(cluster, top, kernel=None, loops=0):
     """Reference: the start row of the dense hitting matrix solve(I - Q, R).
 
     With ``kernel`` the up move from layer ``top`` returns to that layer
     through the kernel's row; without it the top layer reflects (its up move
-    is dropped), which is exact only in the limit of a high top.
+    is dropped), which is exact only in the limit of a high top.  The walk
+    law is :func:`_law` at ``loops``.
     """
     n = cluster.graph.n
+    side, vert = _law(cluster.graph, loops)
     transient, absorbing = [], []
     for z in range(1, top + 1):
         for g in range(n):
@@ -25,12 +35,12 @@ def dense_first_hit(cluster, top, kernel=None):
     q = np.zeros((len(transient), len(transient)))
     r = np.zeros((len(transient), len(absorbing)))
     for (g, z), i in ti.items():
-        moves = [((g, z - 1), 1.0)] + [((u, z), 1.0) for u in cluster.graph.neighbors[g]]
+        moves = [((g, z - 1), vert)] + [((u, z), side) for u in cluster.graph.neighbors[g]]
         if z < top:
-            moves.append(((g, z + 1), 1.0))
+            moves.append(((g, z + 1), vert))
         elif kernel is not None:
-            moves += [((h, z), kernel[g, h]) for h in range(n)]
-        total = len(cluster.graph.neighbors[g]) + (2 if z < top or kernel is not None else 1)
+            moves += [((h, z), vert * kernel[g, h]) for h in range(n)]
+        total = 1.0 if z < top or kernel is not None else 1.0 - vert
         for s, weight in moves:
             if s in ti:
                 q[i, ti[s]] += weight / total
@@ -47,24 +57,26 @@ def dense_first_hit(cluster, top, kernel=None):
     return {s: float(p) for s, p in zip(absorbing, start) if p > 0.0}
 
 
-def strip_kernel(graph, height=60):
+def strip_kernel(graph, loops=0, height=60):
     """Reference K: first return to layer 0 from (g, 1) on an empty strip of
-    layers 1..height with a reflecting top, by one dense solve."""
+    layers 1..height with a reflecting top, by one dense solve, under the
+    walk law :func:`_law` at ``loops``."""
     n = graph.n
+    side, vert = _law(graph, loops)
     q = np.zeros((n * height, n * height))
     r = np.zeros((n * height, n))
     for z in range(height):  # state z * n + g is (g, z + 1)
         for g in range(n):
             i = z * n + g
-            total = graph.d + (2 if z < height - 1 else 1)
+            total = 1.0 if z < height - 1 else 1.0 - vert
             for u in graph.neighbors[g]:
-                q[i, z * n + u] += 1.0 / total
+                q[i, z * n + u] += side / total
             if z < height - 1:
-                q[i, i + n] += 1.0 / total
+                q[i, i + n] += vert / total
             if z > 0:
-                q[i, i - n] += 1.0 / total
+                q[i, i - n] += vert / total
             else:
-                r[i, g] += 1.0 / total
+                r[i, g] += vert / total
     return np.linalg.solve(np.eye(n * height) - q, r)[:n]
 
 
@@ -79,7 +91,17 @@ GROWN = {
 }
 # the two oracle-check states: spec, target layer, M, each grown from stream (7, k)
 ORACLE_CHECK = {"cycle:16": (0, 12, 13), "random:40:3:seed=2": (1, 8, 9)}
-STATES = ["complete:3", *GROWN, *ORACLE_CHECK]
+# negative controls of the base with loops added: base, loops, growth seed
+CONTROLS = {
+    f"control{loops}({spec})": (graph, loops, seed)
+    for spec, graph, seed in (("cycle:6", make_cycle(6), 3), ("complete:4", make_complete(4), 6))
+    for loops in (1, 2)
+}
+STATES = ["complete:3", *GROWN, *ORACLE_CHECK, *CONTROLS]
+
+
+def _loops(label):
+    return CONTROLS[label][1] if label in CONTROLS else 0
 
 
 def _state(label):
@@ -89,6 +111,12 @@ def _state(label):
     elif label in GROWN:
         graph, seed = GROWN[label]
         c = new_cluster(graph)
+        grow(c, np.random.default_rng(seed), particles=10)
+    elif label in CONTROLS:
+        graph, loops, seed = CONTROLS[label]
+        for _ in range(loops):
+            graph = add_self_loops(graph)
+        c = negative_control_cluster(graph)
         grow(c, np.random.default_rng(seed), particles=10)
     else:
         k, layer, m = ORACLE_CHECK[label]
@@ -106,30 +134,40 @@ def _max_gap(got, want):
 @pytest.mark.parametrize("label", STATES)
 def test_sparse_solve_matches_dense_reference(label):
     cluster = _state(label)
-    kernel = strip_kernel(cluster.graph)
+    loops = _loops(label)
+    kernel = strip_kernel(cluster.graph, loops)
     t = cluster.M + 28
     for top in (cluster.M, cluster.M + 1, t, 2 * t):
         got = first_hit_distribution(cluster, top)
-        assert _max_gap(got, dense_first_hit(cluster, top, kernel)) < 1e-12
+        assert _max_gap(got, dense_first_hit(cluster, top, kernel, loops)) < 1e-12
         assert abs(sum(got.values()) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("label", STATES)
 def test_exact_law_matches_the_reflecting_chain_at_a_high_top(label):
     cluster = _state(label)
-    reflecting = dense_first_hit(cluster, 2 * (cluster.M + 28))
+    reflecting = dense_first_hit(cluster, 2 * (cluster.M + 28), loops=_loops(label))
     assert _max_gap(first_hit_distribution(cluster), reflecting) < 1e-9
 
 
-@pytest.mark.parametrize("spec", ["complete:3", "cycle:6", "random:12:3:seed=2"])
-def test_excursion_kernel_is_the_strip_first_return_law(spec):
+# base and loops of the walk law, the fair walk at loops = 0 (q = 2/(d+2))
+KERNEL_CASES = [
+    ("complete:3", 0), ("cycle:6", 0), ("random:12:3:seed=2", 0),
+    ("cycle:6", 1), ("complete:4", 2), ("random:12:3:seed=2", 5),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, loops", KERNEL_CASES, ids=[f"{s}+{k}loops" if k else s for s, k in KERNEL_CASES]
+)
+def test_excursion_kernel_is_the_strip_first_return_law(spec, loops):
     graph = parse_graph_spec(spec)
-    k = excursion_kernel(graph)
+    k = excursion_kernel(graph, (2 + loops) / (graph.d + loops + 2))
     assert k.shape == (graph.n, graph.n)
     assert (k >= 0.0).all()
     assert np.abs(k.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(k - k.T).max() <= 1e-12
-    assert np.abs(k - strip_kernel(graph)).max() <= 1e-9
+    assert np.abs(k - strip_kernel(graph, loops)).max() <= 1e-9
 
 
 def test_first_hit_at_workload_scale():
