@@ -153,6 +153,8 @@ def cmd_simulate(args) -> int:
         if outputs.probes_csv:
             print(f"wrote {outputs.probes_csv}")
         return EXIT_OK
+    if args.probes:
+        raise ValueError("--probes needs --out")
     # T_m reads only the stream prefix up to layer m, so no overshoot is grown
     # and its warning does not apply; config_hash still carries it, so these
     # bytes equal the growth.csv that --out writes

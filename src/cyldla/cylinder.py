@@ -10,7 +10,9 @@ The cluster walker itself lives in :mod:`cyldla.dla`; this module holds what
 it is built from and checked against:
 
 * the walk law as a slot table, read one drop at a time, block by block,
-  through :func:`walk_slots`;
+  through :func:`walk_slots`, which cuts exact uniform slots from the
+  generator's raw 64-bit words; :func:`uniform_below` draws one uniform
+  vertex from one word;
 * exact-law machinery for the heavy-tailed part of the walk.  The vertical
   first-return time of an excursion has infinite mean, so the walker steps
   through an excursion above the front only up to ``CEILING_HEIGHT`` layers;
@@ -49,6 +51,7 @@ _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
 BOX_RADIUS = 10
 CEILING_HEIGHT = 4  # layers above the front a walk steps literally before one return draw
+_INT64 = np.dtype(np.int64)
 
 
 # --- exact excursion-shape sampling ------------------------------------------
@@ -114,8 +117,10 @@ class GTransitionSampler:
       the net displacement to the coordinates mod the sides.  The moves
       commute, so this is the law at every gamma, parity included, and the
       graph's spectrum is never read;
-    * other non-bipartite bases step literally below ``uniform_cut`` and
-      draw a uniform vertex from there on.  ``uniform_cut`` is the least
+    * other non-bipartite bases step literally below ``uniform_cut``, with
+      neighbor slots cut from raw words as the walker's are
+      (:func:`draw_slots`), and draw a uniform vertex from there on
+      (:func:`uniform_below`).  ``uniform_cut`` is the least
       gamma with 1/2 sqrt(n) lambda^gamma <= 1e-14, a bound on the total
       variation distance of the row from uniform, where lambda is
       ``eigen_profile(g).lam``, the largest |eigenvalue| of P other than 1;
@@ -140,6 +145,7 @@ class GTransitionSampler:
                 stride *= side
             self._lattice_dims = tuple(dims)
             return
+        self._hops = np.arange(g.d)
         lam = spectral.eigen_profile(g).lam
         if lam < 1.0:
             self.uniform_cut = 1 if lam == 0.0 else math.ceil(
@@ -163,12 +169,12 @@ class GTransitionSampler:
             return v
         cut = self.uniform_cut
         if cut is not None and gamma >= cut:
-            return int(rng.integers(0, self.graph.n))
+            return uniform_below(rng, self.graph.n)
         if cut is None and gamma > _DIRECT_HOP_LIMIT:
             return self._sample_eigen(g_start, gamma, rng)
         pos = g_start
         nbrs = self._nbrs
-        for s in rng.integers(0, self.graph.d, size=gamma).tolist():
+        for s in draw_slots(rng, self._hops, gamma):
             pos = nbrs[pos][s]
         return pos
 
@@ -300,20 +306,103 @@ def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
     return np.concatenate([doubled, loops])
 
 
-def walk_slots(rng: np.random.Generator, table: np.ndarray):
-    """Walker slots for one drop, as blocks of raw draws mapped through ``table``.
+def _raw_words(rng: np.random.Generator):
+    """``rng``'s source of raw 64-bit words, its ``random_raw``.
 
-    Yields lists of 64, 128, ... up to 4,096 slots.  Each block is drawn from
-    ``rng`` only when the consumer asks for it, after the previous block is
-    used up, so a drop that sticks early consumes few numbers, a long one
-    pays one generator call per 4,096 steps, and draws the consumer makes
-    between blocks (excursion shapes, base kernel) interleave with the block
+    A bit generator whose raw words are narrower would leave the high bytes
+    zero and bias every slot cut from them, so it is refused.
+    """
+    bits = rng.bit_generator
+    if isinstance(bits, np.random.MT19937):
+        raise TypeError(f"{type(bits).__name__} draws 32-bit raw words; the walk needs 64-bit words")
+    return bits.random_raw
+
+
+def _raw_bytes(raw, words: int) -> bytes:
+    """``words`` words from the source ``raw``, each as 8 bytes in little-endian order."""
+    return raw(words).astype("<u8", copy=False).tobytes()
+
+
+def uniform_below(rng: np.random.Generator, n: int) -> int:
+    """A uniform integer in [0, n) from one raw 64-bit word w, by multiply-shift.
+
+    floor(w n / 2^64) takes each value for floor(2^64 / n) or one more words
+    w; rejecting the words whose low part (w n) mod 2^64 is below 2^64 mod n
+    leaves exactly floor(2^64 / n) for each (Lemire), and the word is drawn
+    again.
+    """
+    raw = _raw_words(rng)
+    threshold = (1 << 64) % n
+    while True:
+        m = raw() * n
+        if m & 0xFFFF_FFFF_FFFF_FFFF >= threshold:
+            return m >> 64
+
+
+@functools.lru_cache(maxsize=None)
+def _cutter(table_bytes: bytes):
+    table = np.frombuffer(table_bytes, dtype=np.int64)
+    k = table.size
+    if k <= 256:
+        keep = 256 - 256 % k
+        translation = bytes(int(table[b % k]) if b < keep else 0 for b in range(256))
+        rejected = bytes(range(keep, 256))
+        return (lambda raw: raw.translate(translation, rejected)), 1
+    if k > 1 << 16:
+        raise ValueError(f"a slot table of {k} slots is beyond 2-byte units")
+    keep = (1 << 16) - (1 << 16) % k
+
+    def cut(raw: bytes) -> list[int]:
+        units = np.frombuffer(raw, dtype="<u2")
+        return table[units[units < keep] % k].tolist()
+
+    return cut, 2
+
+
+def slot_cutter(table: np.ndarray):
+    """(cut, unit): exact uniform slots of ``table`` cut from raw bytes.
+
+    With k = ``table.size`` at most 256, a unit is one byte b: ``cut`` keeps
+    each b < 256 - 256 mod k as ``table[b % k]`` and deletes the others, all
+    in one ``bytes.translate``, so each slot has exactly (256 - 256 mod k)/k
+    accepting bytes.  A larger table takes 2-byte little-endian units under
+    the same rule with 2^16 in place of 256.  ``unit`` is the unit's size in
+    bytes.  The pair is cached per table, keyed by its int64 entries, so the
+    table stays the one record of the law.
+    """
+    if table.dtype != _INT64:
+        raise TypeError(f"a slot table holds int64 slots, not {table.dtype}")
+    return _cutter(table.tobytes())
+
+
+def draw_slots(rng: np.random.Generator, table: np.ndarray, count: int):
+    """Exactly ``count`` slots of ``table``, cut from as few raw words as hold them."""
+    cut, unit = slot_cutter(table)
+    raw = _raw_words(rng)
+    slots = cut(_raw_bytes(raw, -(-count * unit // 8)))
+    while len(slots) < count:
+        slots += cut(_raw_bytes(raw, -(-(count - len(slots)) * unit // 8)))
+    return slots[:count]
+
+
+def walk_slots(rng: np.random.Generator, table: np.ndarray):
+    """Walker slots for one drop, as blocks of raw bytes cut through ``table``.
+
+    Each block takes 64, 128, ... up to 4,096 raw bytes from ``rng``'s 64-bit
+    words and keeps the uniform slots cut from them (:func:`slot_cutter`),
+    so a block may hold a few fewer slots than it has bytes.  Each block is
+    drawn only when the consumer asks for it, after the previous block is
+    used up, so a drop that sticks early consumes few words, a long one pays
+    one generator call per 4,096 bytes, and draws the consumer makes between
+    blocks (return shapes, base kernel, box exits) interleave with the block
     draws in a fixed order.  The block sizes are part of the output stream.
     """
-    block = 64
+    cut = slot_cutter(table)[0]
+    raw = _raw_words(rng)
+    words = 8
     while True:
-        yield table[rng.integers(0, table.size, size=block)].tolist()
-        block = min(2 * block, 4096)
+        yield cut(_raw_bytes(raw, words))
+        words = min(2 * words, 512)
 
 
 # --- bulk excursion study -----------------------------------------------------

@@ -53,6 +53,7 @@ from .cylinder import (
     sample_excursion_shape,  # not called here; bench/tracing.py looks it up on this module
     sample_return_shape,
     slot_table,
+    uniform_below,
     walk_slots,
 )
 from .graphs import RegularGraph, add_self_loops
@@ -331,7 +332,7 @@ def probe_particle(
     cluster: Cluster, rng: np.random.Generator, cap: int = DEFAULT_STEP_CAP
 ) -> ParticleOutcome:
     """Walk one particle to the boundary without committing it."""
-    g0 = int(rng.integers(0, cluster.graph.n))
+    g0 = uniform_below(rng, cluster.graph.n)
     m_before = cluster.M
     stick_g, h, kappa, min_layer, _ = _walk_to_boundary(cluster, g0, rng, cap)
     return ParticleOutcome(cluster.t + 1, g0, kappa, h, stick_g, h == m_before, min_layer)
@@ -543,7 +544,7 @@ def entry_layer_visit_set(graph: RegularGraph, trials: int, seed) -> VisitSetRes
     slots = itertools.chain.from_iterable(walk_slots(rng, slot_table(d)))
     sizes = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        g = int(rng.integers(0, graph.n))
+        g = uniform_below(rng, graph.n)
         seen = {g}
         while True:
             s = next(slots)

@@ -23,7 +23,7 @@ from .graphs import RegularGraph, parse_graph_spec
 from .spectral import eigen_profile
 from .stats import BOUND_SIGMAS, BoundCheck, EstimateSummary, make_bound_check
 
-CSV_MAGIC = "cyldla v5"
+CSV_MAGIC = "cyldla v6"
 
 
 def replica_rng(base_seed: int, index: int) -> np.random.Generator:

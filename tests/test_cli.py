@@ -92,6 +92,15 @@ def test_negative_probe_count_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_probes_without_out_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "cycle:6", "--layers", "2", "--replicas", "2", "--probes", "5"
+    )
+    assert code == 2
+    assert err.splitlines()[-1] == "error: --probes needs --out"
+    assert "replica,m,T_m" not in out
+
+
 def test_tiny_cap_exits_three(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "cycle:16", "--layers", "8", "--replicas", "2",
@@ -108,7 +117,7 @@ def test_simulate_writes_schema_a(tmp_path, capsys):
     )
     assert code == 0
     growth = (tmp_path / "growth.csv").read_text().splitlines()
-    assert growth[0].startswith("# cyldla v5 config_hash=")
+    assert growth[0].startswith("# cyldla v6 config_hash=")
     assert growth[1] == "replica,m,T_m"
     assert len(growth) == 2 + 20 * 10
     first = growth[2].split(",")

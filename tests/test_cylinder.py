@@ -22,7 +22,9 @@ from cyldla.cylinder import (
     sample_excursion_shape,
     sample_negative_binomial,
     sample_return_shape,
+    slot_cutter,
     slot_table,
+    uniform_below,
     walk_slots,
 )
 from cyldla.dla import negative_control_cluster
@@ -93,8 +95,18 @@ EXACT_LAW_BASES = (
 @pytest.mark.parametrize("gamma", [1, 7, 100, 1001, 10**6])
 @pytest.mark.parametrize("spec", EXACT_LAW_BASES)
 def test_transition_sampler_exact_law_on_every_route(spec, gamma):
-    g = _base(spec)
-    kernel = GTransitionSampler(g)
+    _assert_exact_kernel_law(GTransitionSampler(_base(spec)), gamma)
+
+
+def test_transition_sampler_hops_on_two_byte_units():
+    kernel = GTransitionSampler(parse_graph_spec("complete:300"))
+    assert slot_cutter(kernel._hops)[1] == 2 and kernel.uniform_cut == 7
+    for gamma in (1, 6):  # below the cut: literal hops, d = 299 slots in 2-byte units
+        _assert_exact_kernel_law(kernel, gamma)
+
+
+def _assert_exact_kernel_law(kernel, gamma):
+    g = kernel.graph
     start = g.n // 3
     expected = np.linalg.matrix_power(g.transition_matrix(), gamma)[start]
     rng = np.random.default_rng(gamma % 1009 + 17 * g.n)
@@ -103,7 +115,7 @@ def test_transition_sampler_exact_law_on_every_route(spec, gamma):
     tv = 0.5 * np.abs(counts / trials - expected).sum()
     # expected TV of an exact sampler: 1/2 sum_j E|p_hat_j - p_j|
     noise = 0.5 * np.sqrt(2 * expected * (1 - expected) / (np.pi * trials)).sum()
-    assert tv <= 3 * noise, f"{spec} gamma={gamma}: tv={tv:.4f}, noise={noise:.4f}"
+    assert tv <= 3 * noise, f"{g.label} gamma={gamma}: tv={tv:.4f}, noise={noise:.4f}"
 
 
 def _coordinate_sum(v, sides):
@@ -152,16 +164,24 @@ def test_uniform_cut_is_a_total_variation_bound():
     assert GTransitionSampler(parse_graph_spec("random:500:3:seed=1")).uniform_cut == 638
 
 
+def _raw_bytes(rng, words):
+    """``words`` raw words of ``rng``, each as 8 little-endian bytes."""
+    return rng.bit_generator.random_raw(words).astype("<u8").tobytes()
+
+
 def test_generic_routes_draw_hops_then_uniform():
     g = parse_graph_spec("complete:5")
     kernel = GTransitionSampler(g)
     cut = kernel.uniform_cut
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     pos = 2
-    for s in ref.integers(0, g.d, size=cut - 1).tolist():
-        pos = g.neighbors[pos][s]
+    # d = 4 divides 256, so every byte is a hop: byte % 4
+    for b in _raw_bytes(ref, -(-(cut - 1) // 8))[: cut - 1]:
+        pos = g.neighbors[pos][b % g.d]
     assert kernel.sample(2, cut - 1, rng) == pos
-    assert kernel.sample(2, cut, rng) == int(ref.integers(0, g.n))
+    w = ref.bit_generator.random_raw()
+    assert w * g.n % 2**64 >= 2**64 % g.n  # the word is accepted
+    assert kernel.sample(2, cut, rng) == w * g.n >> 64
     assert rng.bit_generator.state == ref.bit_generator.state
     stripped = _base("cycle:6+loops-stripped")
     assert stripped.lattice is None and GTransitionSampler(stripped).uniform_cut is None
@@ -193,7 +213,7 @@ def test_walk_slots_consumes_doubling_blocks():
     sizes = (64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096)
     expected = []
     for block in sizes:
-        expected += ref.integers(0, 4, size=block).tolist()
+        expected += [b % 4 for b in _raw_bytes(ref, block // 8)]  # 4 slots divide 256: no byte rejected
     blocks = [next(slots) for _ in sizes]
     assert [len(b) for b in blocks] == list(sizes)
     assert [s for b in blocks for s in b] == expected
@@ -208,7 +228,7 @@ def test_walk_slots_draws_lazily():
     assert rng.bit_generator.state == before  # an unstarted stream draws nothing
     assert len(next(slots)) == 64
     ref = np.random.default_rng(3)
-    ref.integers(0, 4, size=64)
+    ref.bit_generator.random_raw(8)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -216,9 +236,75 @@ def test_walk_slots_maps_draws_through_table():
     table = slot_table(1, vertical_loops=1)
     slots = walk_slots(np.random.default_rng(12), table)
     ref = np.random.default_rng(12)
-    raw = np.concatenate([ref.integers(0, table.size, size=block) for block in (64, 128)])
-    assert next(slots) + next(slots) == table[raw].tolist()
+    raw = [b % table.size for words in (8, 16) for b in _raw_bytes(ref, words)]  # 8 slots: none rejected
+    assert list(next(slots)) + list(next(slots)) == table[raw].tolist()
     assert set(table[raw].tolist()) == {0, 1, 2}
+
+
+def test_slot_cutter_gives_each_slot_equally_many_units():
+    for k in range(1, 257):
+        cut, unit = slot_cutter(np.arange(k))
+        counts = Counter(cut(bytes(range(256))))  # every byte once
+        assert unit == 1 and counts == {s: (256 - 256 % k) // k for s in range(k)}, k
+    every_unit = np.arange(1 << 16, dtype="<u2").tobytes()
+    for k in (257, 301):
+        cut, unit = slot_cutter(np.arange(k))
+        counts = Counter(cut(every_unit))
+        assert unit == 2 and counts == {s: ((1 << 16) - (1 << 16) % k) // k for s in range(k)}, k
+
+
+class _ScriptedBits:
+    """A bit generator that hands out the given raw words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size=None):
+        assert size is None
+        return self.words.pop(0)
+
+
+class _Scripted:
+    def __init__(self, words):
+        self.bit_generator = _ScriptedBits(words)
+
+
+def test_uniform_below_rejects_then_multiplies_and_shifts():
+    w = 0x9E37_79B9_7F4A_7C15
+    rng = _Scripted([0, w])
+    # word 0: (0 * 3) mod 2^64 = 0 < 2^64 mod 3 = 1, rejected; the next is taken
+    assert uniform_below(rng, 3) == w * 3 >> 64 == 1 and rng.bit_generator.words == []
+    top = 2**64 - 1
+    for n, word in ((3, 1), (3, top), (500, 2**63 + 1), (500, top), (2**40 + 7, top)):
+        assert word * n % 2**64 >= 2**64 % n  # accepted
+        assert uniform_below(_Scripted([word]), n) == word * n >> 64
+
+
+@pytest.mark.parametrize("table", [slot_table(3), slot_table(2, vertical_loops=1)], ids=["fair-d3", "control"])
+def test_walk_slots_follow_the_table_law(table):
+    from scipy.special import chdtrc
+
+    slots = walk_slots(np.random.default_rng(47), table)
+    drawn = []
+    while len(drawn) < 100_000:
+        drawn += next(slots)
+    observed = np.bincount(drawn[:100_000])
+    expected = np.bincount(table) / table.size * 100_000
+    assert 256 % table.size  # some bytes are rejected
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert chdtrc(expected.size - 1, chi2) > 0.01, chi2
+
+
+def test_refuses_a_bit_generator_with_32_bit_words():
+    rng = np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(TypeError, match="32-bit"):
+        next(walk_slots(rng, slot_table(2)))
+    with pytest.raises(TypeError, match="32-bit"):
+        uniform_below(rng, 5)
+    with pytest.raises(TypeError, match="32-bit"):
+        GTransitionSampler(parse_graph_spec("complete:5")).sample(0, 3, rng)
+    with pytest.raises(TypeError, match="32-bit"):
+        dla.probe_particle(dla.new_cluster(make_cycle(6)), rng)
 
 
 @pytest.mark.parametrize("p", [1 / 2, 0.4, 2 / 7])

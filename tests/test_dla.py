@@ -14,6 +14,8 @@ from cyldla.cylinder import (
     CEILING_HEIGHT,
     sample_excursion_shape,
     sample_return_shape,
+    slot_cutter,
+    uniform_below,
     walk_slots,
 )
 from cyldla.dla import (
@@ -165,8 +167,11 @@ def _wall_violations_reference(cluster):
 
 def test_wall_blocking_single_pass_matches_definition():
     c = new_cluster(make_complete(3))
-    grow(c, np.random.default_rng(1), particles=400)
-    assert len(c.wall_times) == 9
+    rng = np.random.default_rng(1)
+    grow(c, rng, particles=400)
+    assert len(c.wall_times) == 0  # rare: 1 of 2,200 seeds tried grows no wall by 400 drops
+    grow(c, rng, particles=400)
+    assert len(c.wall_times) == 8
     assert wall_blocking_violations(c) == _wall_violations_reference(c) == []
     lowest, low_t = c.wall_times[0]
     highest = max(w for w, _ in c.wall_times)
@@ -458,7 +463,7 @@ def _reference_walk(cluster, rng, steps=None):
     nbrs = cluster.graph.neighbors
     kernel = cluster.kernel()
     m_layer = cluster.M
-    g, z = int(rng.integers(0, cluster.graph.n)), m_layer
+    g, z = uniform_below(rng, cluster.graph.n), m_layer
     slots = itertools.chain.from_iterable(walk_slots(rng, cluster.slot_table))
     kappa = literal = 0
     min_layer = m_layer
@@ -490,7 +495,7 @@ def _immediate_return_walk(cluster, rng):
     nbrs = cluster.graph.neighbors
     kernel = cluster.kernel()
     m_layer = cluster.M
-    g, z = int(rng.integers(0, cluster.graph.n)), m_layer
+    g, z = uniform_below(rng, cluster.graph.n), m_layer
     slots = itertools.chain.from_iterable(walk_slots(rng, cluster.slot_table))
     kappa = 0
     min_layer = m_layer
@@ -532,16 +537,24 @@ def test_cap_is_exact():
 
 
 class _BlockSpy:
-    """A generator that records the size of every block of walk slots drawn."""
+    """A generator that records the bytes of every block of raw words drawn.
+
+    Its bit generator is the spy itself; single words (the entry vertex) are
+    not blocks and are not recorded.
+    """
 
     def __init__(self, rng):
         self._rng = rng
         self.blocks = []
 
-    def integers(self, low, high=None, size=None):
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size=None):
         if size is not None:
-            self.blocks.append(size)
-        return self._rng.integers(low, high, size=size)
+            self.blocks.append(8 * size)
+        return self._rng.bit_generator.random_raw(size)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -582,7 +595,7 @@ def _assert_cap_is_exact(c, fired):
 
     def walk(seed, cap=dla.DEFAULT_STEP_CAP):
         rng = np.random.default_rng(seed)
-        return dla._walk_to_boundary(c, int(rng.integers(0, c.graph.n)), rng, cap)
+        return dla._walk_to_boundary(c, uniform_below(rng, c.graph.n), rng, cap)
 
     for seed in itertools.count():
         fired.clear()
@@ -598,7 +611,8 @@ def _assert_cap_is_exact(c, fired):
             probe_particle(c, rng, cap=cap)
         assert err.value.literal_steps == cap
         assert err.value.kappa >= err.value.literal_steps
-        # only the blocks the first ``cap`` slots needed were drawn
+        # only the blocks the first ``cap`` slots needed were drawn; a cycle
+        # has 4 slots, which divide 256, so each byte of a block is a slot
         assert sum(rng.blocks[:-1]) < cap <= sum(rng.blocks)
     assert fired and err.value.kappa > cap  # the last walk made such a draw before its cap
 
@@ -738,11 +752,53 @@ def test_cap_zero_draws_nothing_after_the_entry():
         probe_particle(c, rng, cap=0)
     assert (err.value.literal_steps, err.value.kappa, err.value.min_layer) == (0, 0, c.M)
     ref = np.random.default_rng(seed)
-    ref.integers(0, c.graph.n)  # the entry vertex only
+    uniform_below(ref, c.graph.n)  # the entry vertex only
     assert rng.bit_generator.state == ref.bit_generator.state
     # an entry that sticks at once needs no step
     fresh = new_cluster(make_cycle(16))
     assert drop_particle(fresh, np.random.default_rng(seed), cap=0).kappa == 0
+
+
+def test_growth_on_two_byte_slots_matches_the_first_hit_oracle():
+    c = new_cluster(parse_graph_spec("complete:300"))  # d + 2 = 301 slots: 2-byte units
+    assert slot_cutter(c.slot_table)[1] == 2
+    grow(c, np.random.default_rng(5), particles=12)
+    tv, limit = _probe_tv(c, 41)
+    assert tv <= limit, f"TV {tv:.4f}"
+
+
+class _NoIntegers:
+    """A generator whose ``integers`` fails, so every walk draw must come from raw words."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a walk draw went through Generator.integers")
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize(
+    "make, layer",
+    [
+        (lambda: new_cluster(make_cycle(64)), 30),  # boxes fire
+        (lambda: new_cluster(parse_graph_spec("random:40:3:seed=2")), 8),
+        (lambda: new_cluster(make_complete(5)), 8),
+        (lambda: new_cluster(make_torus(4, 3)), 8),
+        (lambda: new_cluster(make_hypercube(4)), 8),
+        (lambda: negative_control_cluster(add_self_loops(make_cycle(6))), 8),
+    ],
+    ids=["cycle:64", "random:40:3:seed=2", "complete:5", "torus:4x4x4", "hypercube:4", "control"],
+)
+def test_walk_draws_nothing_through_integers(make, layer, returns):
+    c = make()
+    rng = _NoIntegers(np.random.default_rng(48))
+    grow(c, rng, target_layer=layer)
+    for _ in range(300):
+        probe_particle(c, rng)
+    assert returns["_walk_to_boundary"] + returns["_box_jumps"] > 0  # the base kernel ran
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -179,7 +179,7 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
         bb = open(pb, "rb").read()
         assert ba == bb
     lines = open(out_a.growth_csv).read().splitlines()
-    assert lines[0].startswith("# cyldla v5 config_hash=")
+    assert lines[0].startswith("# cyldla v6 config_hash=")
     assert lines[1] == "replica,m,T_m"
     assert len(lines) == 2 + 3 * 2
     dlines = open(out_a.density_csv).read().splitlines()

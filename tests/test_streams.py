@@ -1,18 +1,21 @@
-"""Pinned digests of the v5 random stream and the v2 snapshot layout.
+"""Pinned digests of the v6 random stream and the v2 snapshot layout.
 
 Criterion 13 compares two runs of the same code; these digests compare
-against the outputs recorded for the stream (one slot stream per drop,
-steps above the front taken literally up to the ceiling and one exact
-return draw from there, and the base kernel's multinomial slot counts on
-lattice bases), so any change in how the walk consumes random numbers fails
-here.  A deliberate change bumps the CSV header and re-records the digests.
-The v5 stream moved every pin here: the walk now consumes slots above the
-front where it used to draw an excursion shape, so the sticks of the
-``simulate`` replicas and probes, the ``grow`` snapshot and the statistics
-of the seed-1 ``verify`` report all changed.  The snapshot digest pins the
-sticks written in the ``cyldla v2`` snapshot layout (the header names the
-graph, one ``layer vertex`` line per stick); a layout change bumps the
-snapshot magic.
+against the outputs recorded for the stream, so any change in how the walk
+consumes random numbers fails here.  A deliberate change bumps the CSV
+header and re-records the digests.  The v6 stream cuts every integer the
+walk draws from the generator's raw 64-bit words: the walker's slots and
+the base kernel's literal hops come from little-endian bytes with the
+rejected bytes deleted (one slot stream per drop, in blocks of 64 up to
+4,096 bytes), and the entry vertex and the kernel's uniform vertex each
+take one word by multiply-shift.  The rest is as in v5: steps above the
+front taken literally up to the ceiling and one exact return draw from
+there, and the base kernel's multinomial slot counts on lattice bases.
+The v6 stream moved every pin here: the sticks of the ``simulate``
+replicas and probes, the ``grow`` snapshot and the statistics of the
+seed-1 ``verify`` report.  The snapshot digest pins the sticks written in
+the ``cyldla v2`` snapshot layout (the header names the graph, one
+``layer vertex`` line per stick); a layout change bumps the snapshot magic.
 """
 import hashlib
 
@@ -21,12 +24,12 @@ import numpy as np
 from cyldla import cli, dla, graphs
 
 SIMULATE_DIGESTS = {
-    "growth.csv": "c9574ae74c83324e4efd3ea3ad0164bc23e9cdb4749e3f3be4f7984968c70422",
-    "density.csv": "709a0ba6213f1303db8d9b22fd3a55ee33c0160316c6935741070bf26a63e7b1",
-    "probes.csv": "3d27d75e28938e1ec94dac605495ba78b05070cfd3bd041ab22d4f1968f134fc",
+    "growth.csv": "d6d9b20379294925e6e4d55a2ab33730bb47ee7ee98ea11b3c574ad5007049eb",
+    "density.csv": "215e796cfa29f4e0b9135093aefd518daeef0e7425668f18de04a854c45d8534",
+    "probes.csv": "ea1b39eebebd8431436329fda6bdf1fe07374833657c6a737f1948dd7038c1cc",
 }
-GROW_SNAPSHOT_DIGEST = "b5a59f634336d10b838a135b477571208911bf4803502e317de1e4ffccb26811"
-VERIFY_ALL_SEED_1_DIGEST = "a52cc8d213bebde6a394de234d445c9a0f02e06240e6a6ced6cc8a760416b769"
+GROW_SNAPSHOT_DIGEST = "dfdf39587dbb6e462a1087b7df684d7511be7ec4c91b2ecb2a24e77c458f57db"
+VERIFY_ALL_SEED_1_DIGEST = "e9cf03a5a457fd344ffc12f49adc423d5087b0a57dfe35b75cfd5cd81127bbf9"
 
 
 def _sha256(path) -> str:
