@@ -41,8 +41,14 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CYLDLA_SEED", "0"))
+def _seed(flag: str | None) -> int:
+    """The run's seed: ``--seed`` if given, else ``CYLDLA_SEED``, else 0; never negative."""
+    source, text = "--seed", flag
+    if flag is None:
+        source, text = "CYLDLA_SEED", os.environ.get("CYLDLA_SEED", "0")
+    if not text.strip().isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -181,12 +187,12 @@ def cmd_density(args) -> int:
     print(f"# {top.leak_note}", file=sys.stderr)
     for check in top.bound_checks:
         _print_check(check)
-    cons = top.consistency
-    print(
-        f"# {cons.name}: {cons.left!r} vs {cons.right!r} "
-        f"(3*sigma={BOUND_SIGMAS * cons.combined_sigma!r}) -> {'ok' if cons.ok else 'apart'}",
-        file=sys.stderr,
-    )
+    for cons in (top.consistency, top.first_touch_consistency):
+        print(
+            f"# {cons.name}: {cons.left!r} vs {cons.right!r} "
+            f"(3*sigma={BOUND_SIGMAS * cons.combined_sigma!r}) -> {'ok' if cons.ok else 'apart'}",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--alpha", type=float, required=True, help="required same-layer moves")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.add_argument("--cap", type=int, default=DEFAULT_EXCURSION_CAP, help="steps per excursion")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_excursions)
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--layers", type=int, required=True, help="largest target layer")
     p.add_argument("--replicas", type=int, default=30)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.add_argument("--cap", type=int, default=dla.DEFAULT_STEP_CAP, help="literal step cap per drop")
     p.add_argument("--phi", type=int, default=None, help="density overshoot layers")
     p.add_argument("--probes", type=int, default=0, help="probe trials for schema-C output")
@@ -283,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--phi", type=int, default=None, help="overshoot (default ceil(sqrt(m))+10)")
     p.add_argument("--replicas", type=int, default=30)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.add_argument("--cap", type=int, default=dla.DEFAULT_STEP_CAP)
     p.add_argument("--out", default=None, help="output directory (default stdout)")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=(*verify.SUITES, "all"))
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="render a cluster snapshot")
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs", nargs="+", help="at least three graph specs of increasing size")
     p.add_argument("--layers", type=int, required=True, help="target layer m")
     p.add_argument("--replicas", type=int, default=20)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.add_argument("--cap", type=int, default=dla.DEFAULT_STEP_CAP)
     p.set_defaults(func=cmd_fit_gamma)
 
@@ -313,10 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _echo_config(args)
+    args = build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args):
+            args.seed = _seed(args.seed)
+        _echo_config(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = args.func(args)

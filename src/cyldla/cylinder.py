@@ -20,10 +20,10 @@ it is built from and checked against:
   same-layer moves) pair of the return to the front from its exact joint
   law (:func:`sample_excursion_shape` is the same law for one whole
   excursion), and :class:`GTransitionSampler` advances the base coordinate by
-  an arbitrary number gamma of same-layer moves in one shot, by one of three
-  exact routes: slot counts on lattice bases, literal hops up to a TV cut and
-  then a uniform draw on other non-bipartite bases, and an eigenvector row of
-  P^gamma on other bipartite bases;
+  an arbitrary number gamma of same-layer moves in one shot: exact slot
+  counts on lattice bases, literal hops up to a cut and then a uniform draw
+  (within total variation 1e-14) on other non-bipartite bases, and an exact
+  eigenvector row of P^gamma on other bipartite bases;
 * the exit law of the fair walk on Z x Z from the centre of an empty
   (2R+1) x (2R+1) box (:func:`box_table`), with which the walker crosses
   empty space on cycle bases in one draw;
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .graphs import RegularGraph
+from .graphs import RegularGraph, lattice_strides
 from .stats import BoundCheck, EstimateSummary, make_bound_check
 from .walk1d import sample_first_passage_moves
 
@@ -107,10 +107,11 @@ def sample_return_shape(rng: np.random.Generator, height: int, vertical_prob: fl
 
 
 class GTransitionSampler:
-    """Exact sampling of the base coordinate after many same-layer moves.
+    """Sampling of the base coordinate after many same-layer moves.
 
     The base coordinate after ``gamma`` uniform slot moves from ``g`` has the
-    law of row g of P^gamma, P = A/d.  One of three exact routes draws it:
+    law of row g of P^gamma, P = A/d.  One of three routes draws it (the
+    second within total variation 1e-14 of that law, the others exactly):
 
     * lattice bases (``g.lattice`` set: cycle, torus, hypercube) draw how
       often each slot was taken, one multinomial over the d slots, and add
@@ -138,12 +139,10 @@ class GTransitionSampler:
         if g.lattice is not None:
             sides, steps = g.lattice
             self._slot_probs = np.full(g.d, 1.0 / g.d)
-            dims, stride = [], 1
-            for k, side in enumerate(sides):
-                terms = tuple((s, step[k]) for s, step in enumerate(steps) if step[k])
-                dims.append((stride, side, terms))
-                stride *= side
-            self._lattice_dims = tuple(dims)
+            self._lattice_dims = tuple(
+                (stride, side, tuple((s, step[k]) for s, step in enumerate(steps) if step[k]))
+                for k, (stride, side) in enumerate(zip(lattice_strides(sides).tolist(), sides))
+            )
             return
         self._hops = np.arange(g.d)
         lam = spectral.eigen_profile(g).lam
@@ -476,13 +475,11 @@ def _simulate_excursion_skeletons(
         lengths[rows] += block
         pos = rel[sur, -1]
         active = rows
-        over = lengths[active] >= cap
-        if over.any():
-            capped[active[over]] = True
-            keep = ~over
-            active = active[keep]
-            pos = pos[keep]
+        over = lengths[active] >= cap  # not back by the cap, so longer than it
+        capped[active[over]] = True
+        active, pos = active[~over], pos[~over]
         block = min(block * 2, 8192)
+    capped |= lengths > cap  # and those that returned inside the block that crossed the cap
     return signs, g_steps, lengths, capped
 
 
@@ -510,6 +507,8 @@ def long_excursion_frequency(
         raise ValueError("alpha must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     rng = np.random.default_rng(seed)
     signs, g_steps, lengths, capped = _simulate_excursion_skeletons(g.d, trials, cap, rng)
     ok = ~capped & (g_steps >= alpha)

@@ -107,7 +107,7 @@ class Cluster:
     free vertex with ``near`` 1 is a boundary vertex.  ``slot_table`` is the
     walk law (see :func:`cyldla.cylinder.slot_table`) and its one record: the
     walker, the return draw, the box test and the first-hit oracle all read
-    it.  When ``boxes`` is set (a cycle base of at least 2R + 2 vertices and
+    it.  When ``boxes`` is set (the plain cycle's lattice tag, n >= 2R + 2,
     the fair walk), ``near`` is ``BOX`` where no occupied vertex lies within
     L-infinity distance R = ``BOX_RADIUS``, columns counted round the cycle.
     Both ``occ`` and ``near`` hold M + 2 layers and are written only by
@@ -121,11 +121,9 @@ class Cluster:
         self.graph = graph
         self.slot_table = slot_table(graph.d, vertical_loops)
         self._vertical_prob = float(np.bincount(self.slot_table)[:2].sum() / self.slot_table.size)
-        lattice = graph.lattice
         self.boxes = (
             np.array_equal(self.slot_table, np.arange(graph.d + 2))
-            and lattice is not None
-            and len(lattice[0]) == 1
+            and graph.lattice == ((graph.n,), ((-1,), (1,)))
             and graph.n >= 2 * BOX_RADIUS + 2
         )
         self.occ: list[bytearray] = [bytearray([1] * graph.n), bytearray(graph.n), bytearray(graph.n)]
@@ -400,6 +398,8 @@ def grow(
         raise ValueError("particle budget must be >= 1")
     if target_layer is not None and target_layer < 1:
         raise ValueError("target layer must be >= 1")
+    if cap < 0:
+        raise ValueError(f"step cap must be >= 0, got {cap}")
     kappa_hist: Counter = Counter()
     added = 0
     while True:

@@ -10,6 +10,7 @@ checks the experiments apply.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,10 +28,8 @@ class RegularGraph:
     represents one self loop.  Instances are safe to share across threads;
     :attr:`walk_spectrum` is computed on first use and cached on the instance.
 
-    ``lattice`` is ``(sides, slot_steps)`` for a Cayley graph of a product
-    of cyclic groups (cycle, torus, hypercube), else None.  Vertex v has the
-    mixed-radix coordinates c_k with v = sum_k c_k * prod_{j<k} sides[j],
-    and neighbor slot s adds ``slot_steps[s]`` to them, mod ``sides``.
+    ``lattice`` is the ``(sides, slot_steps)`` tag that :func:`make_lattice`
+    builds a cycle, torus or hypercube from, else None.
     """
 
     n: int
@@ -86,14 +85,30 @@ class GraphDiagnostics:
         return self.size_ok and self.regular and self.symmetric and self.connected
 
 
+def lattice_strides(sides: tuple[int, ...]) -> np.ndarray:
+    """Place values of a lattice base: vertex v has coordinates c, v = sum_k c_k strides[k]."""
+    return np.cumprod((1,) + sides[:-1])
+
+
+def lattice_coords(sides: tuple[int, ...]) -> np.ndarray:
+    """Coordinates of every vertex of a lattice base, shape (n, len(sides))."""
+    return np.arange(math.prod(sides))[:, None] // lattice_strides(sides) % sides
+
+
+def make_lattice(
+    sides: tuple[int, ...], steps: tuple[tuple[int, ...], ...], label: str
+) -> RegularGraph:
+    """Cayley graph of Z_sides[0] x Z_sides[1] x ...; slot s adds ``steps[s]`` mod ``sides``."""
+    nbrs = (lattice_coords(sides)[:, None, :] + np.array(steps)) % sides @ lattice_strides(sides)
+    rows = tuple(map(tuple, nbrs.tolist()))
+    return RegularGraph(len(rows), len(steps), rows, label, transitive_hint=True, lattice=(sides, steps))
+
+
 def make_cycle(n: int) -> RegularGraph:
     """Cycle C_n; vertex i is adjacent to i-1 and i+1 mod n."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3 to stay simple, got {n}")
-    nbrs = tuple(((i - 1) % n, (i + 1) % n) for i in range(n))
-    return RegularGraph(
-        n, 2, nbrs, f"cycle:{n}", transitive_hint=True, lattice=((n,), ((-1,), (1,)))
-    )
+    return make_lattice((n,), ((-1,), (1,)), f"cycle:{n}")
 
 
 def make_torus(side: int, dim: int) -> RegularGraph:
@@ -102,26 +117,8 @@ def make_torus(side: int, dim: int) -> RegularGraph:
         raise ValueError(f"torus needs side >= 3 to stay simple, got {side}")
     if dim < 1:
         raise ValueError(f"torus needs dim >= 1, got {dim}")
-    n = side**dim
-    strides = [side**k for k in range(dim)]
-    nbrs = []
-    for v in range(n):
-        coords = [(v // strides[k]) % side for k in range(dim)]
-        row = []
-        for k in range(dim):
-            for delta in (-1, 1):
-                c = coords.copy()
-                c[k] = (c[k] + delta) % side
-                row.append(sum(c[j] * strides[j] for j in range(dim)))
-        nbrs.append(tuple(row))
-    spec = "x".join(str(side) for _ in range(dim))
-    steps = tuple(
-        tuple(delta if j == k else 0 for j in range(dim)) for k in range(dim) for delta in (-1, 1)
-    )
-    return RegularGraph(
-        n, 2 * dim, tuple(nbrs), f"torus:{spec}", transitive_hint=True,
-        lattice=((side,) * dim, steps),
-    )
+    steps = tuple(tuple(delta * (j == k) for j in range(dim)) for k in range(dim) for delta in (-1, 1))
+    return make_lattice((side,) * dim, steps, "torus:" + "x".join([str(side)] * dim))
 
 
 def make_complete(n: int) -> RegularGraph:
@@ -136,12 +133,8 @@ def make_hypercube(dim: int) -> RegularGraph:
     """Hypercube Q_dim: binary labels adjacent iff they differ in one bit."""
     if dim < 2:
         raise ValueError(f"hypercube needs dim >= 2, got {dim}")
-    n = 2**dim
-    nbrs = tuple(tuple(v ^ (1 << b) for b in range(dim)) for v in range(n))
     steps = tuple(tuple(int(j == b) for j in range(dim)) for b in range(dim))
-    return RegularGraph(
-        n, dim, nbrs, f"hypercube:{dim}", transitive_hint=True, lattice=((2,) * dim, steps)
-    )
+    return make_lattice((2,) * dim, steps, f"hypercube:{dim}")
 
 
 def make_random_regular(n: int, d: int, seed: int) -> RegularGraph:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RegularGraph
+from .graphs import RegularGraph, lattice_coords
 from .stats import BoundCheck, EstimateSummary
 
 EIG_TOL = 1e-9
@@ -53,12 +53,12 @@ def _character_spectrum(g: RegularGraph) -> np.ndarray:
     """Eigenvalues of A/d on a lattice base, one per character of its group.
 
     The base is the Cayley graph of the product of cyclic groups Z_side, so
-    the character j (indexed like the vertices, by mixed-radix coordinates
-    j_k) has eigenvalue (1/d) sum_s cos(2 pi sum_k j_k step_s[k] / side_k).
+    the character j (indexed like the vertices, by ``lattice_coords`` j_k)
+    has eigenvalue (1/d) sum_s cos(2 pi sum_k j_k step_s[k] / side_k).
     Each phase term is reduced mod 1 in integers first.  No n x n matrix.
     """
     sides, steps = g.lattice
-    coords = np.arange(g.n)[:, None] // np.cumprod((1,) + sides[:-1]) % sides
+    coords = lattice_coords(sides)
     w = sum(np.cos(2.0 * np.pi * (coords * step % sides / sides).sum(axis=1)) for step in steps)
     return w / g.d
 

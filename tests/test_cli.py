@@ -172,6 +172,10 @@ def test_density_command(tmp_path, capsys):
     assert lines[1] == "replica,m,phi,D_m"
     assert "transitive-upper" in err
     assert "per-particle probability" in err
+    # D(m) against the growth rate, over the grown range and at first touch
+    assert "# D_4-vs-T_7/(7n): " in err
+    touch = [l for l in err.splitlines() if l.startswith("# D_4-vs-T_4/(4n): ")]
+    assert len(touch) == 1 and " vs " in touch[0] and "(3*sigma=" in touch[0]
 
 
 def test_excursions_csv(capsys):
@@ -377,6 +381,55 @@ def test_env_seed_default(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "excursions", "cycle:6", "--alpha", "2", "--trials", "3")
     assert code == 0
     assert '"seed": 123' in err
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["excursions", "cycle:6", "--alpha", "2", "--trials", "3", "--seed", "-1"], None,
+         "error: --seed must be a non-negative integer, got '-1'"),
+        (["verify", "walk1d", "--seed", "x1"], None,
+         "error: --seed must be a non-negative integer, got 'x1'"),
+        (["excursions", "cycle:6", "--alpha", "2", "--trials", "3"], "abc",
+         "error: CYLDLA_SEED must be a non-negative integer, got 'abc'"),
+        (["simulate", "cycle:6", "--layers", "2", "--replicas", "1"], "-4",
+         "error: CYLDLA_SEED must be a non-negative integer, got '-4'"),
+    ],
+    ids=["flag-negative", "flag-text", "env-text", "env-negative"],
+)
+def test_bad_seed_is_a_configuration_error(monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("CYLDLA_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == message
+
+
+def test_command_without_seed_ignores_a_bad_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("CYLDLA_SEED", "abc")
+    code, out, err = run_cli(capsys, "spectra", "cycle:5")
+    assert code == 0 and out.splitlines()[0] == "n,d,lambda,gap,mixing_time"
+    assert "seed" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "cycle:6", "--layers", "2", "--replicas", "2", "--cap", "-5"],
+        ["density", "cycle:6", "--layers", "2", "--replicas", "2", "--cap", "-1"],
+        ["fit-gamma", "cycle:6", "cycle:8", "cycle:10", "--layers", "2", "--replicas", "2",
+         "--cap", "-1"],
+    ],
+    ids=["simulate", "density", "fit-gamma"],
+)
+def test_negative_step_cap_exits_two_before_any_drop(monkeypatch, capsys, argv):
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran under a negative cap")
+
+    monkeypatch.setattr(dla, "drop_particle", no_drop)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: step cap must be >= 0, got {argv[-1]}"
 
 
 def test_simulate_determinism(tmp_path, capsys):

@@ -364,6 +364,20 @@ def test_long_excursion_cap_accounting():
     assert study.positive_long.cap_hits == int(study.capped.sum())
 
 
+@pytest.mark.parametrize("cap", [10, 100, 1000])
+def test_no_uncapped_excursion_outruns_the_cap(cap):
+    # an excursion that returns inside the block that crosses the cap is still capped
+    study = long_excursion_frequency(make_cycle(6), alpha=2.0, trials=20_000, seed=4, cap=cap)
+    assert not np.any(study.lengths[~study.capped] > cap)
+    assert np.all(study.lengths[study.capped] >= cap)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_long_excursion_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        long_excursion_frequency(make_cycle(6), alpha=2.0, trials=10, seed=0, cap=cap)
+
+
 def test_fast_forward_matches_skeleton_simulation():
     # same excursion-shape law from two independent routes: exact-law sampling
     # (used by the cluster walker) and literal skeleton simulation

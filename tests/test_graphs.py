@@ -188,7 +188,11 @@ def test_loops_preserve_validation(n):
 
 
 @pytest.mark.parametrize(
-    "g", [make_cycle(3), make_cycle(10), make_torus(3, 3), make_torus(4, 2), make_hypercube(4)],
+    "g",
+    [
+        make_cycle(3), make_cycle(10), make_torus(3, 3), make_torus(4, 2), make_torus(5, 1),
+        make_hypercube(4),
+    ],
     ids=lambda g: g.label,
 )
 def test_lattice_descriptor_matches_neighbor_slots(g):
@@ -202,6 +206,14 @@ def test_lattice_descriptor_matches_neighbor_slots(g):
         for s, step in enumerate(steps):
             moved = [(c + dc) % side for c, dc, side in zip(coords, step, sides)]
             assert sum(c * stride for c, stride in zip(moved, strides)) == g.neighbors[v][s]
+
+
+def test_lattice_slot_order_is_pinned():
+    # the walker and the stream read slots by position, so their order is part of the output
+    assert make_cycle(4).neighbors == ((3, 1), (0, 2), (1, 3), (2, 0))
+    assert make_hypercube(2).neighbors == ((1, 2), (0, 3), (3, 0), (2, 1))
+    torus = make_torus(3, 2)
+    assert (torus.neighbors[0], torus.neighbors[4]) == ((2, 1, 6, 3), (3, 5, 1, 7))
 
 
 def test_only_lattice_constructors_set_a_lattice():
