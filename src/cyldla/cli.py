@@ -176,6 +176,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_density(args) -> int:
     config = _sweep_config(args, phi=args.phi)
+    if args.replicas < 2:
+        raise ValueError(f"density needs --replicas >= 2 for its 3-sigma checks, got {args.replicas}")
     result = estimate_density(config)
     lines = csv_lines(config.config_hash(), "replica,m,phi,D_m", density_csv_rows(result))
     if args.out is not None:

@@ -104,11 +104,16 @@ class Cluster:
     and ``stick_log`` records (t, vertex, layer) per particle.
     ``near[z][g]`` is 1 exactly when (g, z) is occupied or has an occupied
     neighbour: (g, z +- 1), or (u, z) for a non-loop base neighbour u.  A
-    free vertex with ``near`` 1 is a boundary vertex.  ``slot_table`` is the
-    walk law (see :func:`cyldla.cylinder.slot_table`) and its one record: the
-    walker, the return draw, the box test and the first-hit oracle all read
-    it.  When ``boxes`` is set (the plain cycle's lattice tag, n >= 2R + 2,
-    the fair walk), ``near`` is ``BOX`` where no occupied vertex lies within
+    free vertex with ``near`` 1 is a boundary vertex.  ``graph`` is the one
+    record of the base: the walker, the kernel, the estimators and the
+    oracle read it from here.  ``slot_table`` is the walk law (see
+    :func:`cyldla.cylinder.slot_table`) and its one record: the walker, the
+    return draw, the box test and the first-hit oracle all read it.
+    ``Cluster(G, vertical_loops=k)`` is the loop-equivalence test's
+    negative control on G: the walk as if G had k loop slots per vertex,
+    each resolved as a fair vertical move, a deliberately wrong law.  When
+    ``boxes`` is set (the plain cycle's lattice tag, n >= 2R + 2, the fair
+    walk), ``near`` is ``BOX`` where no occupied vertex lies within
     L-infinity distance R = ``BOX_RADIUS``, columns counted round the cycle.
     Both ``occ`` and ``near`` hold M + 2 layers and are written only by
     :func:`_commit`.  A cluster holds no random state: each drop draws from
@@ -168,24 +173,6 @@ class Cluster:
 def new_cluster(graph: RegularGraph) -> Cluster:
     """Fresh cluster: layer 0 fully occupied, M = 1, no particles."""
     return Cluster(graph)
-
-
-def negative_control_cluster(graph: RegularGraph) -> Cluster:
-    """Fresh cluster whose walk turns each loop slot into a fair vertical move.
-
-    The walk runs on the loop-stripped base with vertical probability
-    (2 + loops) / (d + 2), d counting the loop slots.  This is deliberately
-    not the law of the walk on ``graph``.
-    """
-    loops = set(graph.loops_per_vertex())
-    if len(loops) != 1:
-        raise ValueError("negative control needs a uniform loop count per vertex")
-    (ell,) = loops
-    stripped = tuple(tuple(u for u in row if u != v) for v, row in enumerate(graph.neighbors))
-    base = RegularGraph(
-        graph.n, graph.d - ell, stripped, graph.label + "-stripped", graph.transitive_hint
-    )
-    return Cluster(base, vertical_loops=ell)
 
 
 def is_boundary(cluster: Cluster, pos) -> bool:
@@ -569,16 +556,16 @@ def collect_height_tuples(
     particles: int,
     trials: int,
     rng: np.random.Generator,
-    mutant: bool = False,
+    vertical_loops: int = 0,
 ) -> Counter:
     """Counter of stick-height tuples over independent short processes.
 
-    With ``mutant=True`` each process runs on :func:`negative_control_cluster`.
+    Each process grows ``particles`` drops on a fresh
+    ``Cluster(graph, vertical_loops)``, all of them on ``graph`` itself.
     """
-    fresh = negative_control_cluster if mutant else new_cluster
     counts: Counter = Counter()
     for _ in range(trials):
-        cluster = fresh(graph)
+        cluster = Cluster(graph, vertical_loops)
         counts[tuple(drop_particle(cluster, rng).H for _ in range(particles))] += 1
     return counts
 
@@ -597,14 +584,18 @@ def loop_equivalence_check(
 
     The loop-augmented side should be distributed identically to the plain
     side; the test passes when its p-value exceeds 0.01.  With
-    ``mutant=True`` the augmented side resolves loop slots into fair vertical
-    moves instead (:func:`negative_control_cluster`, a deliberately broken
-    law used as a negative control), which the test is expected to detect.
+    ``mutant=True`` the second side is the negative control instead,
+    ``Cluster(graph, vertical_loops=1)`` on the caller's graph: each loop
+    slot is resolved as a fair vertical move, a deliberately broken law that
+    the test is expected to detect.
     """
     rng_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     counts_a = collect_height_tuples(graph, particles, trials, rng_a)
-    counts_b = collect_height_tuples(add_self_loops(graph), particles, trials, rng_b, mutant=mutant)
+    if mutant:
+        counts_b = collect_height_tuples(graph, particles, trials, rng_b, vertical_loops=1)
+    else:
+        counts_b = collect_height_tuples(add_self_loops(graph), particles, trials, rng_b)
     chi2 = chi_square_two_sample(counts_a, counts_b)
     return LoopEquivalenceReport(chi2, chi2.p_value > 0.01, trials)
 
@@ -728,7 +719,6 @@ __all__ = [
     "load_snapshot",
     "load_upto",
     "loop_equivalence_check",
-    "negative_control_cluster",
     "new_cluster",
     "probe_particle",
     "save_snapshot",

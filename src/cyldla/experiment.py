@@ -147,13 +147,14 @@ def estimate_T(
     """Estimate E[T_m] for every target layer with its bound checks.
 
     Every replica grows once to the largest target, so a replica's stream
-    does not depend on which smaller layers are read.
+    does not depend on which smaller layers are read.  The bound checks need
+    a standard error, so at least two replicas are required.
     """
     targets = sorted(target_layers)
     if not targets or targets[0] < 1:
         raise ValueError("need target layers >= 1")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2 for a standard error, got {replicas}")
     max_m = targets[-1]
     clusters = run_replicas(graph, max_m, replicas, base_seed, cap)
     monotone = all(
@@ -199,7 +200,6 @@ class DensityEstimate:
 @dataclass(frozen=True)
 class DensityResult:
     config: ExperimentConfig
-    graph: RegularGraph
     grow_to_layer: int
     per_layer: tuple[DensityEstimate, ...]
     clusters: tuple[Cluster, ...]  # in replica order
@@ -267,7 +267,7 @@ def estimate_density(config: ExperimentConfig) -> DensityResult:
                 leak_note,
             )
         )
-    return DensityResult(config, graph, m_prime, tuple(per_layer), tuple(clusters))
+    return DensityResult(config, m_prime, tuple(per_layer), tuple(clusters))
 
 
 def _consistency_check(
@@ -286,22 +286,18 @@ class NewLayerResult:
 
 
 def estimate_new_layer_probability(
-    graph: RegularGraph,
-    trials: int,
-    seed,
-    cluster: Cluster | None = None,
-    cap: int = dla.DEFAULT_STEP_CAP,
+    cluster: Cluster, trials: int, seed, cap: int = dla.DEFAULT_STEP_CAP
 ) -> NewLayerResult:
-    """Probe frequency of sticking at the lowest empty layer of a fixed state.
+    """Probe frequency of sticking at the lowest empty layer of ``cluster``.
 
     The state is restored for every trial (probes never commit).  For
-    vertex-transitive bases the frequency is checked against the lower bound
-    (2d+2)/((d+2)n).
+    vertex-transitive bases (read from ``cluster.graph``) the frequency is
+    checked against the lower bound (2d+2)/((d+2)n).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    cluster = cluster if cluster is not None else dla.new_cluster(graph)
+    graph = cluster.graph
     hits = 0
     outcomes = []
     for i in range(trials):
@@ -444,10 +440,9 @@ def run_sweep(config: ExperimentConfig) -> SweepOutputs:
     ]
     if config.probe_trials > 0:
         probe = estimate_new_layer_probability(
-            result.graph,
+            result.clusters[0],
             config.probe_trials,
             replica_rng(config.base_seed, config.replicas),
-            cluster=result.clusters[0],
             cap=config.step_cap,
         )
         probe_rows = [(trial, kappa, h, int(new), low) for trial, kappa, h, new, low in probe.outcomes]

@@ -67,9 +67,6 @@ class RegularGraph:
     def loop_count(self) -> int:
         return sum(1 for v, row in enumerate(self.neighbors) for u in row if u == v)
 
-    def loops_per_vertex(self) -> tuple[int, ...]:
-        return tuple(sum(1 for u in row if u == v) for v, row in enumerate(self.neighbors))
-
 
 @dataclass(frozen=True)
 class GraphDiagnostics:

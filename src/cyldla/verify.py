@@ -441,10 +441,9 @@ def _check_visit_set(seed: int) -> CheckResult:
 
 
 def _check_new_layer_probe(seed: int) -> CheckResult:
-    g = make_complete(3)
-    cluster = dla.new_cluster(g)
+    cluster = dla.new_cluster(make_complete(3))
     dla.drop_particle(cluster, replica_rng(seed, 58))
-    res = estimate_new_layer_probability(g, 5000, replica_rng(seed, 59), cluster=cluster)
+    res = estimate_new_layer_probability(cluster, 5000, replica_rng(seed, 59))
     ok = res.bound_check is not None and not res.bound_check.violated
     return CheckResult(
         "new-layer-probability-bound",

@@ -123,7 +123,7 @@ def test_criterion_05_new_layer_probability_fresh_states():
     with criterion(5, 60.0) as c:
         details = []
         for g in (make_cycle(6), make_torus(3, 2)):
-            res = estimate_new_layer_probability(g, trials=10_000, seed=5)
+            res = estimate_new_layer_probability(dla.new_cluster(g), trials=10_000, seed=5)
             bound = (2 * g.d + 2) / ((g.d + 2) * g.n)
             freq, se = res.summary.mean, res.summary.std_error
             assert freq >= bound - 3 * se

@@ -432,6 +432,33 @@ def test_negative_step_cap_exits_two_before_any_drop(monkeypatch, capsys, argv):
     assert err.splitlines()[-1] == f"error: step cap must be >= 0, got {argv[-1]}"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["density", "cycle:6", "--layers", "2", "--replicas", "1"],
+         "error: density needs --replicas >= 2 for its 3-sigma checks, got 1"),
+        (["fit-gamma", "complete:4", "complete:5", "complete:6", "--layers", "2", "--replicas", "1"],
+         "error: replicas must be >= 2 for a standard error, got 1"),
+    ],
+    ids=["density", "fit-gamma"],
+)
+def test_one_replica_gives_no_verdict(monkeypatch, capsys, tmp_path, argv, message):
+    drop = dla.drop_particle
+
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran for a one-replica verdict")
+
+    monkeypatch.setattr(dla, "drop_particle", no_drop)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == message
+    # simulate prints no verdict, so one replica stays a valid sweep
+    monkeypatch.setattr(dla, "drop_particle", drop)
+    code, *_ = run_cli(capsys, "simulate", "cycle:6", "--layers", "2", "--replicas", "1",
+                       "--out", str(tmp_path))
+    assert code == 0 and (tmp_path / "density.csv").exists()
+
+
 def test_simulate_determinism(tmp_path, capsys):
     args = ["simulate", "cycle:6", "--layers", "4", "--replicas", "3", "--seed", "9"]
     code_a, *_ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))

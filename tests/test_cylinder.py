@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import subprocess
@@ -27,8 +28,7 @@ from cyldla.cylinder import (
     uniform_below,
     walk_slots,
 )
-from cyldla.dla import negative_control_cluster
-from cyldla.graphs import add_self_loops, make_cycle, parse_graph_spec
+from cyldla.graphs import make_cycle, parse_graph_spec
 from cyldla.stats import chi_square_two_sample
 
 
@@ -79,23 +79,18 @@ def test_transition_sampler_huge_exponent():
     assert np.abs(counts - 0.2).max() < 0.05
 
 
-def _base(spec):
-    if spec == "cycle:6+loops-stripped":
-        # bipartite and without a lattice: the eigenvector route
-        return negative_control_cluster(add_self_loops(make_cycle(6))).graph
-    return parse_graph_spec(spec)
-
-
+# K_{3,3}: bipartite and without a lattice tag, so the eigenvector route
+EIGEN_BASE = "random:6:3:seed=0"
 EXACT_LAW_BASES = (
     "cycle:8", "cycle:9", "torus:4x4", "torus:3x3x3", "hypercube:4",
-    "random:12:3:seed=2", "complete:5", "cycle:6+loops-stripped",
+    "random:12:3:seed=2", "complete:5", EIGEN_BASE,
 )
 
 
 @pytest.mark.parametrize("gamma", [1, 7, 100, 1001, 10**6])
 @pytest.mark.parametrize("spec", EXACT_LAW_BASES)
 def test_transition_sampler_exact_law_on_every_route(spec, gamma):
-    _assert_exact_kernel_law(GTransitionSampler(_base(spec)), gamma)
+    _assert_exact_kernel_law(GTransitionSampler(parse_graph_spec(spec)), gamma)
 
 
 def test_transition_sampler_hops_on_two_byte_units():
@@ -183,12 +178,12 @@ def test_generic_routes_draw_hops_then_uniform():
     assert w * g.n % 2**64 >= 2**64 % g.n  # the word is accepted
     assert kernel.sample(2, cut, rng) == w * g.n >> 64
     assert rng.bit_generator.state == ref.bit_generator.state
-    stripped = _base("cycle:6+loops-stripped")
-    assert stripped.lattice is None and GTransitionSampler(stripped).uniform_cut is None
+    bipartite = parse_graph_spec(EIGEN_BASE)
+    assert bipartite.lattice is None and GTransitionSampler(bipartite).uniform_cut is None
 
 
 def test_eigen_route_rejects_a_row_that_is_not_a_law():
-    kernel = GTransitionSampler(_base("cycle:6+loops-stripped"))
+    kernel = GTransitionSampler(parse_graph_spec(EIGEN_BASE))
     kernel._u = np.zeros_like(kernel._u)  # this instance only: the graph's spectrum is untouched
     with pytest.raises(RuntimeError, match=r"row 2 of P\^100 .* sums to 0"):
         kernel.sample(2, 100, np.random.default_rng(1))
@@ -196,14 +191,16 @@ def test_eigen_route_rejects_a_row_that_is_not_a_law():
 
 
 def test_eigen_route_keeps_parity_at_huge_gamma():
-    # the graph's eigh gives 1 - 1.1e-16 and -1 + 2.2e-16 here; taken as
+    # cycle:6's slots without the lattice tag also take the eigenvector
+    # route; their eigh gives 1 - 1.1e-16 and -1 + 2.2e-16, and taken as
     # computed, P^gamma's row would lose its mass from gamma near 1e7 on
-    g = _base("cycle:6+loops-stripped")
-    kernel = GTransitionSampler(g)
+    untagged = dataclasses.replace(make_cycle(6), label="cycle:6-untagged", lattice=None)
     rng = np.random.default_rng(43)
-    for gamma in (10**7, 10**12, 9 * 10**18, 9 * 10**18 + 1):
-        draws = [kernel.sample(2, gamma, rng) for _ in range(50)]
-        assert all((v - 2 - gamma) % 2 == 0 for v in draws), gamma
+    for g in (untagged, parse_graph_spec(EIGEN_BASE)):
+        kernel = GTransitionSampler(g)
+        for gamma in (10**7, 10**12, 9 * 10**18, 9 * 10**18 + 1):
+            draws = [kernel.sample(2, gamma, rng) for _ in range(50)]
+            assert all((v - 2 - gamma) % 2 == 0 for v in draws), (g.label, gamma)
 
 
 def test_walk_slots_consumes_doubling_blocks():

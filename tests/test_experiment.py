@@ -91,7 +91,7 @@ def test_estimate_density_fields_and_bounds():
 
 def test_new_layer_probability_fresh_state_is_one():
     g = make_cycle(6)
-    res = estimate_new_layer_probability(g, trials=500, seed=4)
+    res = estimate_new_layer_probability(dla.new_cluster(g), trials=500, seed=4)
     assert res.summary.mean == 1.0
     assert res.bound_check is not None and not res.bound_check.violated
 
@@ -100,7 +100,7 @@ def test_new_layer_probability_after_one_particle():
     g = make_complete(3)
     cluster = dla.new_cluster(g)
     dla.drop_particle(cluster, np.random.default_rng(5))
-    res = estimate_new_layer_probability(g, trials=6000, seed=6, cluster=cluster)
+    res = estimate_new_layer_probability(cluster, trials=6000, seed=6)
     # (2d+2)/((d+2)n) with d=2, n=3
     assert res.bound_check.bound_value == pytest.approx(6 / 12)
     assert res.summary.mean >= res.bound_check.bound_value - 3 * res.summary.std_error

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyldla.dla import drop_particle, grow, is_boundary, negative_control_cluster, new_cluster
+from cyldla.dla import Cluster, drop_particle, grow, is_boundary, new_cluster
 from cyldla.graphs import add_self_loops, make_complete, make_cycle, parse_graph_spec
 from cyldla.oracles import excursion_kernel, first_hit_distribution
 
@@ -91,7 +91,7 @@ GROWN = {
 }
 # the two oracle-check states: spec, target layer, M, each grown from stream (7, k)
 ORACLE_CHECK = {"cycle:16": (0, 12, 13), "random:40:3:seed=2": (1, 8, 9)}
-# negative controls of the base with loops added: base, loops, growth seed
+# negative controls Cluster(base, vertical_loops=loops): base, loops, growth seed
 CONTROLS = {
     f"control{loops}({spec})": (graph, loops, seed)
     for spec, graph, seed in (("cycle:6", make_cycle(6), 3), ("complete:4", make_complete(4), 6))
@@ -114,9 +114,7 @@ def _state(label):
         grow(c, np.random.default_rng(seed), particles=10)
     elif label in CONTROLS:
         graph, loops, seed = CONTROLS[label]
-        for _ in range(loops):
-            graph = add_self_loops(graph)
-        c = negative_control_cluster(graph)
+        c = Cluster(graph, vertical_loops=loops)
         grow(c, np.random.default_rng(seed), particles=10)
     else:
         k, layer, m = ORACLE_CHECK[label]

@@ -127,7 +127,7 @@ def test_one_decomposition_per_graph(monkeypatch):
         density_overshoot=2,
     )
     result = experiment.estimate_density(config)
-    g = result.graph
+    g = result.clusters[0].graph
     # a non-bipartite base: each sampler reads lambda and no eigenvectors
     assert all(c._kernel.uniform_cut == 533 for c in result.clusters)
     assert not any(hasattr(c._kernel, "_u") for c in result.clusters)

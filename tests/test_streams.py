@@ -36,21 +36,21 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_simulate_csvs_match_v3_stream(tmp_path, capsys):
+def test_simulate_csvs_match_v6_stream(tmp_path, capsys):
     argv = ["simulate", "cycle:16", "--layers", "8", "--replicas", "6", "--seed", "3"]
     assert cli.main(argv + ["--probes", "300", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert {name: _sha256(tmp_path / name) for name in SIMULATE_DIGESTS} == SIMULATE_DIGESTS
 
 
-def test_grow_snapshot_v2_layout_matches_v3_stream(tmp_path):
+def test_grow_snapshot_v2_layout_matches_v6_stream(tmp_path):
     cluster = dla.new_cluster(graphs.parse_graph_spec("cycle:16"))
     dla.grow(cluster, np.random.default_rng(0), particles=300)
     dla.save_snapshot(cluster, tmp_path / "grow.snap")
     assert _sha256(tmp_path / "grow.snap") == GROW_SNAPSHOT_DIGEST
 
 
-def test_verify_report_matches_v3_stream(capsys):
+def test_verify_report_matches_v6_stream(capsys):
     assert cli.main(["verify", "all", "--seed", "1"]) == 0
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode("ascii")).hexdigest() == VERIFY_ALL_SEED_1_DIGEST
