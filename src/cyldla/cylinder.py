@@ -51,7 +51,6 @@ _UNIFORM_TV_CUT = 1e-14
 _DIRECT_HOP_LIMIT = 64
 BOX_RADIUS = 10
 CEILING_HEIGHT = 4  # layers above the front a walk steps literally before one return draw
-_INT64 = np.dtype(np.int64)
 
 
 # --- exact excursion-shape sampling ------------------------------------------
@@ -144,7 +143,7 @@ class GTransitionSampler:
                 for k, (stride, side) in enumerate(zip(lattice_strides(sides).tolist(), sides))
             )
             return
-        self._hops = np.arange(g.d)
+        self._hops = tuple(range(g.d))
         lam = spectral.eigen_profile(g).lam
         if lam < 1.0:
             self.uniform_cut = 1 if lam == 0.0 else math.ceil(
@@ -287,7 +286,7 @@ def box_table() -> BoxTable:
 # --- walk law -----------------------------------------------------------------
 
 
-def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
+def slot_table(d: int, vertical_loops: int = 0) -> tuple[int, ...]:
     """The walk law on a loop-free d-regular base, as raw draw -> walker slot.
 
     Walker slot 0 moves up, 1 moves down and s >= 2 moves to neighbor s - 2.
@@ -299,10 +298,8 @@ def slot_table(d: int, vertical_loops: int = 0) -> np.ndarray:
     probability 1/(D+2) and up and down each (2+loops)/(2(D+2)).
     """
     if vertical_loops == 0:
-        return np.arange(d + 2, dtype=np.int64)
-    doubled = np.repeat(np.arange(d + 2, dtype=np.int64), 2)
-    loops = np.tile(np.array([0, 1], dtype=np.int64), vertical_loops)
-    return np.concatenate([doubled, loops])
+        return tuple(range(d + 2))
+    return tuple(s for s in range(d + 2) for _ in (0, 1)) + (0, 1) * vertical_loops
 
 
 def _raw_words(rng: np.random.Generator):
@@ -339,42 +336,36 @@ def uniform_below(rng: np.random.Generator, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _cutter(table_bytes: bytes):
-    table = np.frombuffer(table_bytes, dtype=np.int64)
-    k = table.size
+def slot_cutter(table: tuple[int, ...]):
+    """(cut, unit): exact uniform slots of ``table`` cut from raw bytes.
+
+    With k = ``len(table)`` at most 256, a unit is one byte b: ``cut`` keeps
+    each b < 256 - 256 mod k as ``table[b % k]`` and deletes the others, all
+    in one ``bytes.translate``, so each slot has exactly (256 - 256 mod k)/k
+    accepting bytes.  A larger table takes 2-byte little-endian units under
+    the same rule with 2^16 in place of 256.  ``unit`` is the unit's size in
+    bytes.  The pair is cached per table, so the table stays the one record
+    of the law.
+    """
+    k = len(table)
     if k <= 256:
         keep = 256 - 256 % k
-        translation = bytes(int(table[b % k]) if b < keep else 0 for b in range(256))
+        translation = bytes(table[b % k] if b < keep else 0 for b in range(256))
         rejected = bytes(range(keep, 256))
         return (lambda raw: raw.translate(translation, rejected)), 1
     if k > 1 << 16:
         raise ValueError(f"a slot table of {k} slots is beyond 2-byte units")
     keep = (1 << 16) - (1 << 16) % k
+    slots = np.array(table)
 
     def cut(raw: bytes) -> list[int]:
         units = np.frombuffer(raw, dtype="<u2")
-        return table[units[units < keep] % k].tolist()
+        return slots[units[units < keep] % k].tolist()
 
     return cut, 2
 
 
-def slot_cutter(table: np.ndarray):
-    """(cut, unit): exact uniform slots of ``table`` cut from raw bytes.
-
-    With k = ``table.size`` at most 256, a unit is one byte b: ``cut`` keeps
-    each b < 256 - 256 mod k as ``table[b % k]`` and deletes the others, all
-    in one ``bytes.translate``, so each slot has exactly (256 - 256 mod k)/k
-    accepting bytes.  A larger table takes 2-byte little-endian units under
-    the same rule with 2^16 in place of 256.  ``unit`` is the unit's size in
-    bytes.  The pair is cached per table, keyed by its int64 entries, so the
-    table stays the one record of the law.
-    """
-    if table.dtype != _INT64:
-        raise TypeError(f"a slot table holds int64 slots, not {table.dtype}")
-    return _cutter(table.tobytes())
-
-
-def draw_slots(rng: np.random.Generator, table: np.ndarray, count: int):
+def draw_slots(rng: np.random.Generator, table: tuple[int, ...], count: int):
     """Exactly ``count`` slots of ``table``, cut from as few raw words as hold them."""
     cut, unit = slot_cutter(table)
     raw = _raw_words(rng)
@@ -384,7 +375,7 @@ def draw_slots(rng: np.random.Generator, table: np.ndarray, count: int):
     return slots[:count]
 
 
-def walk_slots(rng: np.random.Generator, table: np.ndarray):
+def walk_slots(rng: np.random.Generator, table: tuple[int, ...]):
     """Walker slots for one drop, as blocks of raw bytes cut through ``table``.
 
     Each block takes 64, 128, ... up to 4,096 raw bytes from ``rng``'s 64-bit

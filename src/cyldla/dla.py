@@ -76,7 +76,6 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleOutcome:
-    t: int
     start_g: int
     kappa: int
     H: int
@@ -109,6 +108,8 @@ class Cluster:
     oracle read it from here.  ``slot_table`` is the walk law (see
     :func:`cyldla.cylinder.slot_table`) and its one record: the walker, the
     return draw, the box test and the first-hit oracle all read it.
+    ``vertical_prob`` is the chance that one step is vertical, the table's
+    share of up and down slots, which every return draw reads.
     ``Cluster(G, vertical_loops=k)`` is the loop-equivalence test's
     negative control on G: the walk as if G had k loop slots per vertex,
     each resolved as a fair vertical move, a deliberately wrong law.  When
@@ -125,9 +126,9 @@ class Cluster:
     def __init__(self, graph: RegularGraph, vertical_loops: int = 0):
         self.graph = graph
         self.slot_table = slot_table(graph.d, vertical_loops)
-        self._vertical_prob = float(np.bincount(self.slot_table)[:2].sum() / self.slot_table.size)
+        self.vertical_prob = (self.slot_table.count(0) + self.slot_table.count(1)) / len(self.slot_table)
         self.boxes = (
-            np.array_equal(self.slot_table, np.arange(graph.d + 2))
+            self.slot_table == slot_table(graph.d)
             and graph.lattice == ((graph.n,), ((-1,), (1,)))
             and graph.n >= 2 * BOX_RADIUS + 2
         )
@@ -145,10 +146,6 @@ class Cluster:
         if self._kernel is None:
             self._kernel = GTransitionSampler(self.graph)
         return self._kernel
-
-    def vertical_prob(self) -> float:
-        """Chance that one step is vertical: the slot table's share of up and down."""
-        return self._vertical_prob
 
     def _ensure_capacity(self) -> None:
         while len(self.occ) < self.M + 2:
@@ -265,7 +262,7 @@ def _return_to_front(cluster: Cluster, g: int, height: int, rng: np.random.Gener
     the steps it took.  One return-shape draw gives the vertical and
     same-layer move counts, and the base kernel moves g by the latter.
     """
-    v, gamma = sample_return_shape(rng, height, cluster.vertical_prob())
+    v, gamma = sample_return_shape(rng, height, cluster.vertical_prob)
     return cluster.kernel().sample(g, gamma, rng), v + gamma
 
 
@@ -320,7 +317,7 @@ def probe_particle(
     g0 = uniform_below(rng, cluster.graph.n)
     m_before = cluster.M
     stick_g, h, kappa, min_layer, _ = _walk_to_boundary(cluster, g0, rng, cap)
-    return ParticleOutcome(cluster.t + 1, g0, kappa, h, stick_g, h == m_before, min_layer)
+    return ParticleOutcome(g0, kappa, h, stick_g, h == m_before, min_layer)
 
 
 def drop_particle(
@@ -398,13 +395,6 @@ def grow(
         added += 1
         kappa_hist[out.kappa] += 1
     return GrowthStats(kappa_hist)
-
-
-def load(cluster: Cluster, i: int) -> int:
-    """L(i): occupied count at layer i."""
-    if i < 0:
-        raise ValueError("layer index must be >= 0")
-    return cluster.loads[i] if i < len(cluster.loads) else 0
 
 
 def load_at_least(cluster: Cluster, i: int) -> int:
@@ -714,7 +704,6 @@ __all__ = [
     "entry_layer_visit_set",
     "grow",
     "is_boundary",
-    "load",
     "load_at_least",
     "load_snapshot",
     "load_upto",

@@ -331,8 +331,8 @@ def fit_gamma(ns, t_over_m) -> GammaFit:
     ns = list(ns)
     ys = [float(v) for v in t_over_m]
     finite = [(n, y) for n, y in zip(ns, ys) if math.isfinite(y) and y > 0]
-    if len(finite) < 3:
-        raise ValueError("need at least 3 finite positive points to fit an exponent")
+    if len({n for n, _ in finite}) < 3:
+        raise ValueError("an exponent fit needs finite positive points at 3 or more distinct sizes")
     x = np.log([n for n, _ in finite])
     y = np.log([y for _, y in finite])
     coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
@@ -362,14 +362,15 @@ def fit_growth_exponent(
     """Estimate T_1..T_m with bound checks per base and fit E[T_m] ~ m * n^gamma.
 
     Base i runs its replicas from ``base_seed + i``.  The fit is exploratory:
-    it is reported with its residual norm and no pass/fail verdict.
+    it is reported with its residual norm and no pass/fail verdict.  The
+    family must hold at least 3 distinct base sizes, checked before any drop.
     """
-    specs = list(family_specs)
-    if len(specs) < 3:
-        raise ValueError("need at least 3 family members")
+    graphs = [parse_graph_spec(spec) for spec in family_specs]
+    if len({g.n for g in graphs}) < 3:
+        raise ValueError("need family members of at least 3 distinct base sizes")
     bases = tuple(
-        estimate_T(parse_graph_spec(spec), range(1, m + 1), replicas, base_seed + i, cap)
-        for i, spec in enumerate(specs)
+        estimate_T(g, range(1, m + 1), replicas, base_seed + i, cap)
+        for i, g in enumerate(graphs)
     )
     fit = fit_gamma(
         [b.graph.n for b in bases], [b.per_layer[-1].summary.mean / m for b in bases]

@@ -24,8 +24,9 @@ DEFAULT_PAIRING_ATTEMPTS = 10_000
 class RegularGraph:
     """Immutable d-regular graph with slot-list adjacency.
 
-    ``neighbors[v]`` has exactly ``d`` entries; an entry equal to ``v``
-    represents one self loop.  Instances are safe to share across threads;
+    ``neighbors[v]`` has exactly ``d`` entries, Python ints on every base,
+    which the walker indexes rows with; an entry equal to ``v`` represents
+    one self loop.  Instances are safe to share across threads;
     :attr:`walk_spectrum` is computed on first use and cached on the instance.
 
     ``lattice`` is the ``(sides, slot_steps)`` tag that :func:`make_lattice`
@@ -139,8 +140,8 @@ def make_random_regular(n: int, d: int, seed: int) -> RegularGraph:
 
     Half-edge stubs are matched uniformly; matchings producing loops or
     multi-edges are rejected and resampled.  Deterministic given ``seed``.
-    Raises ``RuntimeError`` when ``DEFAULT_PAIRING_ATTEMPTS`` rejections are
-    exhausted.
+    Raises ``ValueError`` when ``DEFAULT_PAIRING_ATTEMPTS`` rejections are
+    exhausted: the (n, d) pair is then a configuration the model cannot build.
     """
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
@@ -155,7 +156,7 @@ def make_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         pairs = perm.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
-        edges = {(min(a, b), max(a, b)) for a, b in pairs}
+        edges = {(min(a, b), max(a, b)) for a, b in pairs.tolist()}
         if len(edges) != len(pairs):
             continue
         rows: list[list[int]] = [[] for _ in range(n)]
@@ -167,7 +168,7 @@ def make_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         )
         if _connected(g):
             return g
-    raise RuntimeError(
+    raise ValueError(
         f"pairing-model sampling failed after {DEFAULT_PAIRING_ATTEMPTS} attempts (n={n}, d={d})"
     )
 

@@ -432,6 +432,25 @@ def test_negative_step_cap_exits_two_before_any_drop(monkeypatch, capsys, argv):
     assert err.splitlines()[-1] == f"error: step cap must be >= 0, got {argv[-1]}"
 
 
+def test_unbuildable_random_spec_exits_two(capsys):
+    code, out, err = run_cli(capsys, "gen-graph", "random:10:8:seed=1")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: bad graph spec 'random:10:8:seed=1': pairing-model")
+
+
+def test_fit_gamma_needs_three_distinct_sizes_before_any_drop(monkeypatch, capsys):
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran for a family of one base size")
+
+    monkeypatch.setattr(dla, "drop_particle", no_drop)
+    code, out, err = run_cli(
+        capsys, "fit-gamma", "complete:4", "complete:4", "complete:4",
+        "--layers", "2", "--replicas", "3", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: need family members of at least 3 distinct base sizes"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -233,19 +233,26 @@ def test_walk_slots_maps_draws_through_table():
     table = slot_table(1, vertical_loops=1)
     slots = walk_slots(np.random.default_rng(12), table)
     ref = np.random.default_rng(12)
-    raw = [b % table.size for words in (8, 16) for b in _raw_bytes(ref, words)]  # 8 slots: none rejected
-    assert list(next(slots)) + list(next(slots)) == table[raw].tolist()
-    assert set(table[raw].tolist()) == {0, 1, 2}
+    raw = [b % len(table) for words in (8, 16) for b in _raw_bytes(ref, words)]  # 8 slots: none rejected
+    assert list(next(slots)) + list(next(slots)) == [table[b] for b in raw]
+    assert {table[b] for b in raw} == {0, 1, 2}
+
+
+def test_slot_table_is_a_tuple_and_its_own_cache_key():
+    for table in (slot_table(3), slot_table(2, vertical_loops=1)):
+        assert type(table) is tuple and all(type(s) is int for s in table)
+    assert slot_table(2, vertical_loops=1) == (0, 0, 1, 1, 2, 2, 3, 3, 0, 1)
+    assert slot_cutter(slot_table(3)) is slot_cutter(slot_table(3))
 
 
 def test_slot_cutter_gives_each_slot_equally_many_units():
     for k in range(1, 257):
-        cut, unit = slot_cutter(np.arange(k))
+        cut, unit = slot_cutter(tuple(range(k)))
         counts = Counter(cut(bytes(range(256))))  # every byte once
         assert unit == 1 and counts == {s: (256 - 256 % k) // k for s in range(k)}, k
     every_unit = np.arange(1 << 16, dtype="<u2").tobytes()
     for k in (257, 301):
-        cut, unit = slot_cutter(np.arange(k))
+        cut, unit = slot_cutter(tuple(range(k)))
         counts = Counter(cut(every_unit))
         assert unit == 2 and counts == {s: ((1 << 16) - (1 << 16) % k) // k for s in range(k)}, k
 
@@ -286,8 +293,8 @@ def test_walk_slots_follow_the_table_law(table):
     while len(drawn) < 100_000:
         drawn += next(slots)
     observed = np.bincount(drawn[:100_000])
-    expected = np.bincount(table) / table.size * 100_000
-    assert 256 % table.size  # some bytes are rejected
+    expected = np.bincount(table) / len(table) * 100_000
+    assert 256 % len(table)  # some bytes are rejected
     chi2 = ((observed - expected) ** 2 / expected).sum()
     assert chdtrc(expected.size - 1, chi2) > 0.01, chi2
 

@@ -29,7 +29,6 @@ from cyldla.dla import (
     entry_layer_visit_set,
     grow,
     is_boundary,
-    load,
     load_at_least,
     load_snapshot,
     load_upto,
@@ -56,7 +55,7 @@ from cyldla.stats import chi_square_two_sample
 def test_new_cluster_state():
     g = make_cycle(4)
     c = new_cluster(g)
-    assert load(c, 0) == 4 and c.M == 1 and c.t == 0
+    assert c.loads[0] == 4 and c.M == 1 and c.t == 0
     assert sum(c.loads) == g.n
     assert density_upto(c, 1) == 0.0 and density_upto(c, 7) == 0.0
 
@@ -111,9 +110,15 @@ def test_grow_budget_and_conservation():
     assert sum(c.loads) == g.n + 120
     assert load_at_least(c, 1) == 120
     for i in range(1, c.M):
-        assert load(c, i) >= 1
+        assert c.loads[i] >= 1
     assert all(x == 0 for x in c.loads[c.M :])
-    assert load(c, 0) == g.n
+    assert c.loads[0] == g.n
+
+
+def test_stick_log_on_a_random_base_holds_python_ints():
+    c = new_cluster(parse_graph_spec("random:40:3:seed=2"))
+    grow(c, np.random.default_rng(2), particles=200)
+    assert all(type(x) is int for entry in c.stick_log for x in entry)
 
 
 def test_grow_until_first_layer_is_single_particle():
@@ -327,7 +332,7 @@ def test_synthetic_cluster_shape():
     g = make_complete(4)
     c = synthetic_cluster(g, layer=2, count=2)
     assert c.M == 3 and c.t == 4
-    assert load(c, 1) == 2 and load(c, 2) == 2
+    assert c.loads[1] == 2 and c.loads[2] == 2
     with pytest.raises(ValueError):
         synthetic_cluster(g, layer=1, count=5)
 
@@ -416,7 +421,7 @@ def test_negative_control_grows_on_the_callers_graph(monkeypatch):
     loop_equivalence_check(g, particles=3, trials=50, seed=21, mutant=True)
     assert len(clusters) == 100 and all(c.graph is g for c in clusters.values())
     # 50 fair clusters (vertical 2/4) and 50 controls (vertical (2 + 1)/(3 + 2))
-    assert Counter(c.vertical_prob() for c in clusters.values()) == {0.5: 50, 0.6: 50}
+    assert Counter(c.vertical_prob for c in clusters.values()) == {0.5: 50, 0.6: 50}
 
 
 @pytest.mark.parametrize("loops", [1, 2])
@@ -430,12 +435,12 @@ def test_negative_control_law_exact(loops):
     assert all(v not in row for v, row in enumerate(c.graph.neighbors))
     table = c.slot_table
     counts = Counter(int(s) for s in table)
-    prob = {s: Fraction(k, table.size) for s, k in counts.items()}
+    prob = {s: Fraction(k, len(table)) for s, k in counts.items()}
     assert prob[0] == prob[1] == Fraction(2 + loops, 2 * (d + 2))
     assert set(prob) == set(range(c.graph.d + 2))
     assert all(prob[s] == Fraction(1, d + 2) for s in range(2, c.graph.d + 2))
-    assert c.vertical_prob() == float(prob[0] + prob[1])
-    assert new_cluster(g).vertical_prob() == 2 / (d + 2)
+    assert c.vertical_prob == float(prob[0] + prob[1])
+    assert new_cluster(g).vertical_prob == 2 / (d + 2)
 
 
 @pytest.mark.parametrize("base", [make_cycle(6), make_complete(4)], ids=["cycle:6", "complete:4"])
@@ -499,7 +504,7 @@ def _reference_walk(cluster, rng, steps=None):
         z += 1 if s == 0 else -1
         min_layer = min(min_layer, z)
         if z == m_layer + CEILING_HEIGHT:
-            v, gamma = sample_return_shape(rng, CEILING_HEIGHT, cluster.vertical_prob())
+            v, gamma = sample_return_shape(rng, CEILING_HEIGHT, cluster.vertical_prob)
             kappa += v + gamma
             g = kernel.sample(g, gamma, rng)
             z = m_layer
@@ -525,7 +530,7 @@ def _immediate_return_walk(cluster, rng):
             g = nbrs[g][s - 2]
             kappa += 1
         elif s == 0 and z == m_layer:
-            _, gamma, total = sample_excursion_shape(rng, cluster.vertical_prob())
+            _, gamma, total = sample_excursion_shape(rng, cluster.vertical_prob)
             kappa += total
             g = kernel.sample(g, gamma, rng)
         else:

@@ -117,6 +117,16 @@ def test_fit_gamma_self_tests():
         fit_gamma([8, 16], [8.0, 16.0])
 
 
+def test_fit_gamma_needs_three_distinct_sizes():
+    # a line through one or two x values is no exponent, however many points sit there
+    for ns in ([4, 4, 4], [8, 8, 16, 16]):
+        with pytest.raises(ValueError, match="3 or more distinct sizes"):
+            fit_gamma(ns, [1.0 + i for i in range(len(ns))])
+    # a size whose only point is not finite does not count
+    with pytest.raises(ValueError, match="3 or more distinct sizes"):
+        fit_gamma([8, 16, 32], [8.0, 16.0, math.inf])
+
+
 def test_estimate_T_rejects_empty_targets_and_replicas():
     with pytest.raises(ValueError):
         estimate_T(make_cycle(6), (), replicas=2, base_seed=0, cap=dla.DEFAULT_STEP_CAP)

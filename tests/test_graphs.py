@@ -91,6 +91,31 @@ def test_random_regular_parity_rejected():
         make_random_regular(5, 3, seed=1)
 
 
+def test_random_regular_that_pairing_cannot_build_is_a_configuration_error():
+    # 8-regular on 10 vertices: nearly every matching has a loop or a multi-edge
+    with pytest.raises(ValueError, match="pairing-model sampling failed after"):
+        make_random_regular(10, 8, seed=1)
+    with pytest.raises(ValueError, match="bad graph spec 'random:10:8:seed=1'"):
+        parse_graph_spec("random:10:8:seed=1")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_cycle(7),
+        make_torus(3, 2),
+        make_complete(5),
+        make_hypercube(3),
+        make_random_regular(20, 3, 5),
+        add_self_loops(make_random_regular(20, 3, 5)),
+    ],
+    ids=lambda g: g.label,
+)
+def test_rows_hold_python_ints(g):
+    # the walker indexes rows and sticking-map bytes with these entries
+    assert all(type(u) is int for row in g.neighbors for u in row)
+
+
 def test_random_regular_k4_degrees():
     g = make_random_regular(4, 3, seed=0)
     # only simple 3-regular graph on 4 vertices is K_4
