@@ -200,6 +200,28 @@ def _connected(g: RegularGraph) -> bool:
     return count == g.n
 
 
+def bipartite(g: RegularGraph) -> bool:
+    """Whether the component of vertex 0 has a two-colouring.
+
+    A breadth-first search colours each vertex against its parent and stops
+    at the first edge inside one colour class; a loop slot is such an edge,
+    an odd cycle of length one.
+    """
+    colour = [-1] * g.n
+    colour[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        other = 1 - colour[v]
+        for u in g.neighbors[v]:
+            if colour[u] < 0:
+                colour[u] = other
+                queue.append(u)
+            elif colour[u] != other:
+                return False
+    return True
+
+
 def validate(g: RegularGraph) -> GraphDiagnostics:
     """Check regularity, symmetry with multiplicity, and connectivity."""
     size_ok = g.n >= 2 and g.d >= 2

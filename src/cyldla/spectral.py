@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RegularGraph, lattice_coords
+from .graphs import RegularGraph, bipartite, lattice_coords
 from .stats import BoundCheck, EstimateSummary
 
 EIG_TOL = 1e-9
@@ -20,8 +20,9 @@ class SpectralProfile:
 
     ``eigenvalues`` is the full spectrum in descending order.  ``lam`` is
     the largest absolute eigenvalue after removing one copy of the top
-    eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0: a smallest
-    eigenvalue within ``EIG_TOL`` of -1 counts as exactly -1.
+    eigenvalue 1, so bipartite graphs report lam = 1 and gap = 0 exactly.
+    Bipartiteness is read from the graph's two-colouring
+    (:func:`graphs.bipartite`), never from a rounded eigenvalue.
     """
 
     n: int
@@ -42,7 +43,7 @@ def eigen_profile(g: RegularGraph) -> SpectralProfile:
     w = np.sort(w)[::-1]
     if abs(w[0] - 1.0) > EIG_TOL:
         raise RuntimeError(f"top eigenvalue {w[0]} differs from 1 beyond tolerance")
-    if bipartite_like(w[-1]):
+    if bipartite(g):
         lam = 1.0
     else:
         lam = min(float(np.max(np.abs(w[1:]))), 1.0) if g.n > 1 else 0.0
@@ -61,11 +62,6 @@ def _character_spectrum(g: RegularGraph) -> np.ndarray:
     coords = lattice_coords(sides)
     w = sum(np.cos(2.0 * np.pi * (coords * step % sides / sides).sum(axis=1)) for step in steps)
     return w / g.d
-
-
-def bipartite_like(smallest_eigenvalue: float) -> bool:
-    """Whether the walk's smallest eigenvalue is -1 up to ``EIG_TOL``."""
-    return bool(smallest_eigenvalue <= -1.0 + EIG_TOL)
 
 
 def lazy_transition_matrix(g: RegularGraph) -> np.ndarray:

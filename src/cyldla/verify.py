@@ -1,8 +1,9 @@
 """Deterministic verification suites behind the ``verify`` CLI command.
 
-Each check returns a pass/fail line.  Monte-Carlo checks run on fixed
-sub-seeds derived from the suite seed, so the whole report is reproducible
-byte for byte.
+:data:`SUITES` names every check once, in report order.  A check takes the
+suite seed and returns ``(passed, detail)``; :func:`run_suite` turns each
+into a pass/fail line.  Monte-Carlo checks run on fixed sub-seeds derived
+from the suite seed, so the whole report is reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -44,18 +45,16 @@ class CheckResult:
 # --- walk1d suite ---------------------------------------------------------------
 
 
-def _check_ballot_enumeration() -> CheckResult:
+def _check_ballot_enumeration(_seed: int) -> tuple[bool, str]:
     for n in range(1, 9):
         exact = walk1d.ballot_probability(n)
         enum = walk1d.enumerate_paths(2 * n, lambda p: p[:, 1:].min(axis=1) >= 0)
         if exact != enum:
-            return CheckResult(
-                "ballot-vs-enumeration", False, f"mismatch at n={n}: {exact} vs {enum}"
-            )
-    return CheckResult("ballot-vs-enumeration", True, "exact equality for n=1..8")
+            return False, f"mismatch at n={n}: {exact} vs {enum}"
+    return True, "exact equality for n=1..8"
 
 
-def _check_zero_count_enumeration() -> CheckResult:
+def _check_zero_count_enumeration(_seed: int) -> tuple[bool, str]:
     for n in range(1, 9):
         for m in range(1, n + 1):
             exact = walk1d.zero_count_cdf(n, m)
@@ -63,69 +62,49 @@ def _check_zero_count_enumeration() -> CheckResult:
                 2 * n, lambda p, m=m: (p[:, 1:] == 0).sum(axis=1) < m
             )
             if exact != enum:
-                return CheckResult(
-                    "zero-count-cdf-vs-enumeration",
-                    False,
-                    f"mismatch at n={n}, m={m}: {exact} vs {enum}",
-                )
-    return CheckResult(
-        "zero-count-cdf-vs-enumeration", True, "exact equality for n=1..8, all m"
-    )
+                return False, f"mismatch at n={n}, m={m}: {exact} vs {enum}"
+    return True, "exact equality for n=1..8, all m"
 
 
-def _check_zero_count_monotone() -> CheckResult:
+def _check_zero_count_monotone(_seed: int) -> tuple[bool, str]:
     n = 10
     values = [walk1d.zero_count_cdf(n, m) for m in range(1, n + 1)]
     ok = all(a <= b for a, b in zip(values, values[1:]))
-    return CheckResult("zero-count-cdf-monotone-in-m", ok, f"n={n}, m=1..{n}")
+    return ok, f"n={n}, m=1..{n}"
 
 
-def _check_stirling_style_bound() -> CheckResult:
-    worst = 0.0
+def _check_stirling_style_bound(_seed: int) -> tuple[bool, str]:
     for n in range(2, 33):
         for m in range(1, n):
-            cdf = float(walk1d.zero_count_cdf(n, m))
-            bound = m / math.sqrt(2 * n - 2 * m)
-            worst = max(worst, cdf - bound)
-            if cdf >= bound:
-                return CheckResult(
-                    "zero-count-stirling-style-upper",
-                    False,
-                    f"violated at n={n}, m={m}",
-                )
-    return CheckResult(
-        "zero-count-stirling-style-upper", True, "holds on 2<=n<=32, m<n grid"
-    )
+            if float(walk1d.zero_count_cdf(n, m)) >= m / math.sqrt(2 * n - 2 * m):
+                return False, f"violated at n={n}, m={m}"
+    return True, "holds on 2<=n<=32, m<n grid"
 
 
-def _check_max_tail_exact() -> CheckResult:
+def _check_max_tail_exact(_seed: int) -> tuple[bool, str]:
     mt = walk1d.lazy_max_tail(1.0, 4, 4.0)
     exact = walk1d.enumerate_paths(
         4, lambda p, thr=mt.threshold: np.abs(p[:, 1:]).max(axis=1) >= thr
     )
     ok = exact == Fraction(1, 8) and exact <= Fraction(mt.bound).limit_denominator()
-    return CheckResult(
-        "max-tail-exact-small-case", ok, f"P={exact} <= bound {mt.bound}"
-    )
+    return ok, f"P={exact} <= bound {mt.bound}"
 
 
-def _check_lazy_variance(seed: int) -> CheckResult:
+def _check_lazy_variance(seed: int) -> tuple[bool, str]:
     for tag, (alpha, m) in enumerate([(0.5, 100), (0.6, 64)]):
         params = walk1d.LazyWalkParams(alpha)
         paths = walk1d.simulate_lazy_walks(params, m, 100_000, replica_rng(seed, 10 + tag))
         var = float(paths[:, -1].astype(np.float64).var())
         if abs(var - alpha * m) > 0.05 * alpha * m:
-            return CheckResult(
-                "lazy-walk-variance", False, f"alpha={alpha}, m={m}: var {var:.3f}"
-            )
-    return CheckResult("lazy-walk-variance", True, "within 5% of alpha*m")
+            return False, f"alpha={alpha}, m={m}: var {var:.3f}"
+    return True, "within 5% of alpha*m"
 
 
-def _check_zeros_constant(seed: int) -> CheckResult:
+def _check_zeros_constant(seed: int) -> tuple[bool, str]:
     alpha, eps = 0.5, 0.5
     c = walk1d.zeros_constant(alpha, eps)
     if c <= 4.0 / alpha:
-        return CheckResult("zeros-constant", False, f"C={c} not above 4/alpha")
+        return False, f"C={c} not above 4/alpha"
     params = walk1d.LazyWalkParams(alpha)
     for tag, n in enumerate((2, 4, 8)):
         steps = math.ceil(c * n * n)
@@ -134,69 +113,50 @@ def _check_zeros_constant(seed: int) -> CheckResult:
         few_zeros = int(((paths[:, 1:] == 0).sum(axis=1) < n).sum())
         summary = EstimateSummary.from_bernoulli(few_zeros, walks)
         if summary.mean - 3 * summary.std_error > eps:
-            return CheckResult(
-                "zeros-constant", False, f"n={n}: frequency {summary.mean:.3f} above eps"
-            )
-    return CheckResult("zeros-constant", True, f"C={c:.2f} validated at n in {{2,4,8}}")
+            return False, f"n={n}: frequency {summary.mean:.3f} above eps"
+    return True, f"C={c:.2f} validated at n in {{2,4,8}}"
 
 
-def _check_first_passage_sampler(seed: int) -> CheckResult:
+def _check_first_passage_sampler(seed: int) -> tuple[bool, str]:
     for k in range(0, 11):
         if not math.isclose(
             walk1d.first_passage_tail(k), float(walk1d.ballot_probability(max(k, 1)) if k else 1.0)
         ):
-            return CheckResult("first-passage-tail", False, f"tail mismatch at k={k}")
+            return False, f"tail mismatch at k={k}"
     rng = replica_rng(seed, 30)
     draws = np.array([walk1d.sample_first_passage_moves(rng) for _ in range(20_000)])
     for moves, prob in ((1, 0.5), (3, 0.125), (5, 0.0625)):
         est = EstimateSummary.from_bernoulli(int((draws == moves).sum()), draws.size)
         if abs(est.mean - prob) > 3 * est.std_error + 1e-9:
-            return CheckResult(
-                "first-passage-sampler", False, f"P(rho={moves}) off: {est.mean:.4f}"
-            )
-    return CheckResult("first-passage-sampler", True, "tail identity and pmf agree")
-
-
-def walk1d_checks(seed: int) -> list[CheckResult]:
-    return [
-        _check_ballot_enumeration(),
-        _check_zero_count_enumeration(),
-        _check_zero_count_monotone(),
-        _check_stirling_style_bound(),
-        _check_max_tail_exact(),
-        _check_lazy_variance(seed),
-        _check_zeros_constant(seed),
-        _check_first_passage_sampler(seed),
-    ]
+            return False, f"P(rho={moves}) off: {est.mean:.4f}"
+    return True, "tail identity and pmf agree"
 
 
 # --- spectral suite -------------------------------------------------------------
 
 
-def _check_known_spectra() -> CheckResult:
+def _check_known_spectra(_seed: int) -> tuple[bool, str]:
     k4 = eigen_profile(make_complete(4))
     if abs(k4.lam - 1.0 / 3.0) > 1e-9:
-        return CheckResult("known-spectra", False, f"K4 lambda {k4.lam}")
+        return False, f"K4 lambda {k4.lam}"
     c9 = eigen_profile(make_cycle(9))
     if abs(c9.lam - abs(math.cos(8 * math.pi / 9))) > 1e-9:
-        return CheckResult("known-spectra", False, f"C9 lambda {c9.lam}")
+        return False, f"C9 lambda {c9.lam}"
     q3 = eigen_profile(make_hypercube(3))
     if abs(q3.lam - 1.0) > 1e-9 or abs(q3.gap) > 1e-9:
-        return CheckResult("known-spectra", False, f"Q3 lambda {q3.lam}")
-    return CheckResult("known-spectra", True, "K4, C9, Q3 eigenvalues match")
+        return False, f"Q3 lambda {q3.lam}"
+    return True, "K4, C9, Q3 eigenvalues match"
 
 
-def _check_trace_identity() -> CheckResult:
+def _check_trace_identity(_seed: int) -> tuple[bool, str]:
     from .graphs import add_self_loops
 
     for g in (make_complete(4), add_self_loops(make_cycle(5)), make_hypercube(3)):
         prof = eigen_profile(g)
         trace = g.loop_count() / g.d
         if abs(sum(prof.eigenvalues) - trace) > 1e-6:
-            return CheckResult(
-                "eigenvalue-trace-identity", False, f"{g.label}: {sum(prof.eigenvalues)}"
-            )
-    return CheckResult("eigenvalue-trace-identity", True, "sum(eig) = loops/d")
+            return False, f"{g.label}: {sum(prof.eigenvalues)}"
+    return True, "sum(eig) = loops/d"
 
 
 def _exact_mixing_oracle(g, cap: int) -> int | None:
@@ -218,58 +178,50 @@ def _exact_mixing_oracle(g, cap: int) -> int | None:
     return None
 
 
-def _check_mixing_times() -> CheckResult:
-    cases = [(make_complete(3), 1), (make_cycle(4), 2)]
-    for g, expected in cases:
+def _check_mixing_times(_seed: int) -> tuple[bool, str]:
+    for g, expected in ((make_complete(3), 1), (make_cycle(4), 2)):
         got = mixing_time(g, 50)
         oracle = _exact_mixing_oracle(g, 50)
         if got != expected or oracle != expected:
-            return CheckResult(
-                "mixing-time-exact-oracle",
-                False,
-                f"{g.label}: got {got}, oracle {oracle}, expected {expected}",
-            )
+            return False, f"{g.label}: got {got}, oracle {oracle}, expected {expected}"
     q3 = mixing_time(make_hypercube(3), 1000)
     if not isinstance(q3, int):
-        return CheckResult("mixing-time-exact-oracle", False, "Q3 did not mix under cap")
-    return CheckResult(
-        "mixing-time-exact-oracle", True, f"K3=1, C4=2 (rational oracle), Q3={q3}"
-    )
+        return False, "Q3 did not mix under cap"
+    return True, f"K3=1, C4=2 (rational oracle), Q3={q3}"
 
 
-def _check_mixing_monotone() -> CheckResult:
-    g = make_cycle(5)
-    p = lazy_transition_matrix(g)
+def _check_mixing_monotone(_seed: int) -> tuple[bool, str]:
+    p = lazy_transition_matrix(make_cycle(5))
     b = p.copy()
     mins = []
     for _ in range(40):
         mins.append(float(b.min()))
         b = b @ p
     ok = all(y >= x - 1e-12 for x, y in zip(mins, mins[1:]))
-    return CheckResult("mixing-min-entry-monotone", ok, "40 powers of lazy C5")
+    return ok, "40 powers of lazy C5"
 
 
-def _check_avoidance_bound_values() -> CheckResult:
+def _check_avoidance_bound_values(_seed: int) -> tuple[bool, str]:
     k4 = eigen_profile(make_complete(4))
     if abs(avoidance_bound(k4, [1.0, 1.0, 1.0]) - 1.0) > 1e-12:
-        return CheckResult("avoidance-bound-values", False, "all-ones case")
+        return False, "all-ones case"
     if abs(avoidance_bound(k4, [0.5, 0.5]) - math.exp(-1.0 / 3.0)) > 1e-12:
-        return CheckResult("avoidance-bound-values", False, "K4 half-sets case")
-    return CheckResult("avoidance-bound-values", True, "plug-in values match")
+        return False, "K4 half-sets case"
+    return True, "plug-in values match"
 
 
-def _check_path_counts() -> CheckResult:
+def _check_path_counts(_seed: int) -> tuple[bool, str]:
     k3 = make_complete(3)
     hand = count_constrained_paths(k3, [{0}, {1}])
     if hand.count != 2:
-        return CheckResult("path-count-hand-case", False, f"got {hand.count}")
+        return False, f"got {hand.count}"
     full = count_constrained_paths(k3, [set(range(3))])
     if full.count != 3 * 2:
-        return CheckResult("path-count-hand-case", False, f"full set: {full.count}")
+        return False, f"full set: {full.count}"
     empty = count_constrained_paths(k3, [set()])
     if empty.count != 0:
-        return CheckResult("path-count-hand-case", False, f"empty set: {empty.count}")
-    return CheckResult("path-count-hand-case", True, "K3 hand enumeration matches")
+        return False, f"empty set: {empty.count}"
+    return True, "K3 hand enumeration matches"
 
 
 def _random_set_families(g, rng, families: int):
@@ -281,24 +233,20 @@ def _random_set_families(g, rng, families: int):
         ]
 
 
-def _check_path_bound_random(seed: int) -> CheckResult:
-    graphs_under_test = [
-        make_complete(4),
-        make_cycle(5),
-        parse_graph_spec("random:10:3:seed=1"),
-    ]
+def _check_path_bound_random(seed: int) -> tuple[bool, str]:
     rng = replica_rng(seed, 40)
     checked = 0
-    for g in graphs_under_test:
+    for g in (make_complete(4), make_cycle(5), parse_graph_spec("random:10:3:seed=1")):
         for sets in _random_set_families(g, rng, 20):
-            count_constrained_paths(g, sets)  # raises on a bound violation
+            try:
+                count_constrained_paths(g, sets)
+            except RuntimeError as exc:  # the exact count exceeds the spectral bound
+                return False, str(exc)
             checked += 1
-    return CheckResult(
-        "path-count-spectral-bound", True, f"{checked} random families within bound"
-    )
+    return True, f"{checked} random families within bound"
 
 
-def _check_avoidance_monte_carlo(seed: int) -> CheckResult:
+def _check_avoidance_monte_carlo(seed: int) -> tuple[bool, str]:
     rng = replica_rng(seed, 41)
     for g in (make_complete(4), make_cycle(5), make_torus(3, 2)):
         prof = eigen_profile(g)
@@ -306,94 +254,57 @@ def _check_avoidance_monte_carlo(seed: int) -> CheckResult:
             bound = avoidance_bound(prof, [len(c) / g.n for c in sets])
             freq = avoidance_frequency(g, sets, 4000, replica_rng(seed, 100 + i))
             if freq.mean - 3 * freq.std_error > bound:
-                return CheckResult(
-                    "avoidance-monte-carlo",
-                    False,
-                    f"{g.label}: frequency {freq.mean:.4f} above bound {bound:.4f}",
-                )
-    return CheckResult("avoidance-monte-carlo", True, "stay-in-sets frequency within bound")
-
-
-def spectral_checks(seed: int) -> list[CheckResult]:
-    return [
-        _check_known_spectra(),
-        _check_trace_identity(),
-        _check_mixing_times(),
-        _check_mixing_monotone(),
-        _check_avoidance_bound_values(),
-        _check_path_counts(),
-        _check_path_bound_random(seed),
-        _check_avoidance_monte_carlo(seed),
-    ]
+                return False, f"{g.label}: frequency {freq.mean:.4f} above bound {bound:.4f}"
+    return True, "stay-in-sets frequency within bound"
 
 
 # --- dla suite ------------------------------------------------------------------
 
 
-def _check_first_particle() -> CheckResult:
-    graphs_under_test = [
-        make_cycle(8),
-        make_complete(5),
-        make_torus(3, 2),
-        make_hypercube(3),
-    ]
-    for g in graphs_under_test:
+def _check_first_particle(_seed: int) -> tuple[bool, str]:
+    for g in (make_cycle(8), make_complete(5), make_torus(3, 2), make_hypercube(3)):
         rng = replica_rng(0, 50)
         for _ in range(200):
             cluster = dla.new_cluster(g)
             out = dla.drop_particle(cluster, rng)
             if out.kappa != 0 or out.H != 1 or cluster.first_reach.get(1) != 1:
-                return CheckResult("first-particle-deterministic", False, g.label)
-    return CheckResult(
-        "first-particle-deterministic", True, "kappa=0, H=1, T_1=1 on 4 bases x200"
-    )
+                return False, g.label
+    return True, "kappa=0, H=1, T_1=1 on 4 bases x200"
 
 
-def _check_cluster_invariants(seed: int) -> CheckResult:
+def _check_cluster_invariants(seed: int) -> tuple[bool, str]:
     g = make_cycle(5)
     cluster = dla.new_cluster(g)
     dla.grow(cluster, replica_rng(seed, 51), particles=300)
     if sum(cluster.loads) != g.n + cluster.t:
-        return CheckResult("cluster-invariants", False, "mass conservation failed")
+        return False, "mass conservation failed"
     if cluster.loads[0] != g.n:
-        return CheckResult("cluster-invariants", False, "layer 0 not full")
+        return False, "layer 0 not full"
     for i in range(1, cluster.M):
         if cluster.loads[i] < 1:
-            return CheckResult("cluster-invariants", False, f"empty layer {i} below M")
+            return False, f"empty layer {i} below M"
     if any(x > 0 for x in cluster.loads[cluster.M :]):
-        return CheckResult("cluster-invariants", False, "occupied layer at or above M")
+        return False, "occupied layer at or above M"
     times = sorted(cluster.first_reach.items())
     if [m for m, _ in times] != list(range(1, cluster.M)):
-        return CheckResult("cluster-invariants", False, "first-reach layers not contiguous")
+        return False, "first-reach layers not contiguous"
     if not all(b > a for (_, a), (_, b) in zip(times, times[1:])):
-        return CheckResult("cluster-invariants", False, "T_m not strictly increasing")
-    return CheckResult("cluster-invariants", True, "loads, mass, and T_m shape hold")
+        return False, "T_m not strictly increasing"
+    return True, "loads, mass, and T_m shape hold"
 
 
-def _check_load_event_identity(seed: int) -> CheckResult:
-    g = make_complete(4)
-    cluster = dla.new_cluster(g)
+def _check_load_event_identity(seed: int) -> tuple[bool, str]:
+    cluster = dla.new_cluster(make_complete(4))
     dla.grow(cluster, replica_rng(seed, 52), particles=200)
-    loads_ge: dict[int, int] = {}
-    for t, _, h in cluster.stick_log:
-        for i in range(1, cluster.M + 1):
-            before = loads_ge.get(i, 0)
-            after = before + (1 if h >= i else 0)
-            incremented = after > before
-            if incremented != (h >= i):
-                return CheckResult("load-increment-identity", False, f"t={t}, i={i}")
-            loads_ge[i] = after
+    heights = [h for _, _, h in cluster.stick_log]
     for i in range(1, cluster.M + 1):
-        if loads_ge.get(i, 0) != dla.load_at_least(cluster, i):
-            return CheckResult("load-increment-identity", False, f"final L(>={i})")
-    return CheckResult(
-        "load-increment-identity", True, "L(>=i) increments exactly when H >= i"
-    )
+        if sum(h >= i for h in heights) != dla.load_at_least(cluster, i):
+            return False, f"final L(>={i})"
+    return True, "L(>=i) increments exactly when H >= i"
 
 
-def _check_first_hit_oracle(seed: int) -> CheckResult:
-    g = make_complete(3)
-    cluster = dla.new_cluster(g)
+def _check_first_hit_oracle(seed: int) -> tuple[bool, str]:
+    cluster = dla.new_cluster(make_complete(3))
     dla.drop_particle(cluster, replica_rng(seed, 53))
     oracle = first_hit_distribution(cluster)
     rng = replica_rng(seed, 54)
@@ -402,92 +313,65 @@ def _check_first_hit_oracle(seed: int) -> CheckResult:
     for _ in range(trials):
         out = dla.probe_particle(cluster, rng)
         counts[(out.stick_g, out.H)] = counts.get((out.stick_g, out.H), 0) + 1
-    empirical = {k: v / trials for k, v in counts.items()}
-    tv = total_variation(empirical, oracle)
-    return CheckResult("first-hit-oracle", tv <= 0.02, f"TV={tv:.4f} at {trials} probes")
+    tv = total_variation({k: v / trials for k, v in counts.items()}, oracle)
+    return tv <= 0.02, f"TV={tv:.4f} at {trials} probes"
 
 
-def _check_stick_above(seed: int) -> CheckResult:
+def _check_stick_above(seed: int) -> tuple[bool, str]:
     g = make_complete(3)
     res = dla.stick_above_frequency(g, layer=1, count=1, trials=3000, seed=replica_rng(seed, 55))
     if res.bound_check.violated:
-        return CheckResult("stick-above-load-bound", False, f"freq {res.summary.mean:.3f}")
+        return False, f"freq {res.summary.mean:.3f}"
     wall = dla.stick_above_frequency(g, layer=1, count=3, trials=200, seed=replica_rng(seed, 56))
     if wall.summary.mean != 1.0:
-        return CheckResult("stick-above-load-bound", False, "wall case not certain")
-    return CheckResult(
-        "stick-above-load-bound",
-        True,
-        f"freq {res.summary.mean:.3f} >= 1/3 - 3se; wall case = 1",
-    )
+        return False, "wall case not certain"
+    return True, f"freq {res.summary.mean:.3f} >= 1/3 - 3se; wall case = 1"
 
 
-def _check_visit_set(seed: int) -> CheckResult:
-    g = make_cycle(6)
-    res = dla.entry_layer_visit_set(g, trials=20_000, seed=replica_rng(seed, 57))
+def _check_visit_set(seed: int) -> tuple[bool, str]:
+    res = dla.entry_layer_visit_set(make_cycle(6), trials=20_000, seed=replica_rng(seed, 57))
     if res.bound_check.violated:
-        return CheckResult("entry-layer-visit-set", False, f"mean {res.mean_summary.mean:.3f}")
+        return False, f"mean {res.mean_summary.mean:.3f}"
     gap = abs(res.single_visit.mean - res.single_visit_exact)
     if gap > 3 * res.single_visit.std_error + 1e-9:
-        return CheckResult(
-            "entry-layer-visit-set", False, f"P(|S|=1) off by {gap:.4f}"
-        )
-    return CheckResult(
-        "entry-layer-visit-set",
-        True,
+        return False, f"P(|S|=1) off by {gap:.4f}"
+    return True, (
         f"mean {res.mean_summary.mean:.3f} >= {res.bound_check.bound_value:.3f}; "
-        f"P(|S|=1) within noise of {res.single_visit_exact:.3f}",
+        f"P(|S|=1) within noise of {res.single_visit_exact:.3f}"
     )
 
 
-def _check_new_layer_probe(seed: int) -> CheckResult:
+def _check_new_layer_probe(seed: int) -> tuple[bool, str]:
     cluster = dla.new_cluster(make_complete(3))
     dla.drop_particle(cluster, replica_rng(seed, 58))
     res = estimate_new_layer_probability(cluster, 5000, replica_rng(seed, 59))
     ok = res.bound_check is not None and not res.bound_check.violated
-    return CheckResult(
-        "new-layer-probability-bound",
-        ok,
-        f"frequency {res.summary.mean:.3f} vs bound {res.bound_check.bound_value:.3f}",
-    )
+    return ok, f"frequency {res.summary.mean:.3f} vs bound {res.bound_check.bound_value:.3f}"
 
 
-def _check_loop_equivalence(seed: int) -> CheckResult:
+def _check_loop_equivalence(seed: int) -> tuple[bool, str]:
     g = make_complete(3)
     fair = dla.loop_equivalence_check(g, particles=5, trials=1500, seed=seed + 64)
     mutant = dla.loop_equivalence_check(g, particles=5, trials=1500, seed=seed + 64, mutant=True)
     if not fair.passed:
-        return CheckResult(
-            "loop-augmentation-equivalence", False, f"equivalence rejected p={fair.chi2.p_value:.4f}"
-        )
+        return False, f"equivalence rejected p={fair.chi2.p_value:.4f}"
     if mutant.passed:
-        return CheckResult(
-            "loop-augmentation-equivalence", False, "negative control not detected"
-        )
-    return CheckResult(
-        "loop-augmentation-equivalence",
-        True,
-        f"p={fair.chi2.p_value:.3f}; mutant p={mutant.chi2.p_value:.2e}",
+        return False, "negative control not detected"
+    return True, f"p={fair.chi2.p_value:.3f}; mutant p={mutant.chi2.p_value:.2e}"
+
+
+def _check_excursion_bound(seed: int) -> tuple[bool, str]:
+    study = long_excursion_frequency(
+        make_cycle(6), alpha=4.0, trials=20_000, seed=replica_rng(seed, 61)
     )
-
-
-def _check_excursion_bound(seed: int) -> CheckResult:
-    g = make_cycle(6)
-    study = long_excursion_frequency(g, alpha=4.0, trials=20_000, seed=replica_rng(seed, 61))
     if study.bound_check.violated:
-        return CheckResult(
-            "long-excursion-bound", False, f"freq {study.positive_long.mean:.4f}"
-        )
+        return False, f"freq {study.positive_long.mean:.4f}"
     if study.symmetry_gap > 3 * study.symmetry_sigma + 1e-9:
-        return CheckResult("long-excursion-bound", False, "positive/negative asymmetry")
-    return CheckResult(
-        "long-excursion-bound",
-        True,
-        f"freq {study.positive_long.mean:.4f} > {study.bound:.4f} - 3se; symmetric",
-    )
+        return False, "positive/negative asymmetry"
+    return True, f"freq {study.positive_long.mean:.4f} > {study.bound:.4f} - 3se; symmetric"
 
 
-def _check_snapshot_roundtrip(seed: int) -> CheckResult:
+def _check_snapshot_roundtrip(seed: int) -> tuple[bool, str]:
     import os
     import tempfile
 
@@ -497,49 +381,66 @@ def _check_snapshot_roundtrip(seed: int) -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cluster.snap")
         dla.save_snapshot(cluster, path)
-        snap = dla.load_snapshot(path)
-        rebuilt = dla.cluster_from_snapshot(snap, g)
+        rebuilt = dla.cluster_from_snapshot(dla.load_snapshot(path), g)
         path2 = os.path.join(tmp, "cluster2.snap")
         dla.save_snapshot(rebuilt, path2)
         with open(path, "rb") as fa, open(path2, "rb") as fb:
             ok = fa.read() == fb.read()
-    return CheckResult("snapshot-roundtrip", ok, "save -> load -> save is bit-exact")
+    return ok, "save -> load -> save is bit-exact"
 
 
-def _check_wall_blocking(seed: int) -> CheckResult:
-    g = make_complete(3)
-    cluster = dla.new_cluster(g)
+def _check_wall_blocking(seed: int) -> tuple[bool, str]:
+    cluster = dla.new_cluster(make_complete(3))
     dla.grow(cluster, replica_rng(seed, 63), particles=400)
-    walls = dla.detect_walls(cluster)
     violations = dla.wall_blocking_violations(cluster)
     if violations:
-        return CheckResult("wall-blocking", False, f"{len(violations)} sticks below a wall")
-    return CheckResult("wall-blocking", True, f"{len(walls)} walls, no stick below any")
+        return False, f"{len(violations)} sticks below a wall"
+    return True, f"{len(dla.detect_walls(cluster))} walls, no stick below any"
 
 
-def dla_checks(seed: int) -> list[CheckResult]:
-    return [
-        _check_first_particle(),
-        _check_cluster_invariants(seed),
-        _check_load_event_identity(seed),
-        _check_first_hit_oracle(seed),
-        _check_stick_above(seed),
-        _check_visit_set(seed),
-        _check_new_layer_probe(seed),
-        _check_loop_equivalence(seed),
-        _check_excursion_bound(seed),
-        _check_snapshot_roundtrip(seed),
-        _check_wall_blocking(seed),
-    ]
-
-
-SUITES = {"walk1d": walk1d_checks, "spectral": spectral_checks, "dla": dla_checks}
+SUITES = {
+    "walk1d": (
+        ("ballot-vs-enumeration", _check_ballot_enumeration),
+        ("zero-count-cdf-vs-enumeration", _check_zero_count_enumeration),
+        ("zero-count-cdf-monotone-in-m", _check_zero_count_monotone),
+        ("zero-count-stirling-style-upper", _check_stirling_style_bound),
+        ("max-tail-exact-small-case", _check_max_tail_exact),
+        ("lazy-walk-variance", _check_lazy_variance),
+        ("zeros-constant", _check_zeros_constant),
+        ("first-passage-sampler", _check_first_passage_sampler),
+    ),
+    "spectral": (
+        ("known-spectra", _check_known_spectra),
+        ("eigenvalue-trace-identity", _check_trace_identity),
+        ("mixing-time-exact-oracle", _check_mixing_times),
+        ("mixing-min-entry-monotone", _check_mixing_monotone),
+        ("avoidance-bound-values", _check_avoidance_bound_values),
+        ("path-count-hand-case", _check_path_counts),
+        ("path-count-spectral-bound", _check_path_bound_random),
+        ("avoidance-monte-carlo", _check_avoidance_monte_carlo),
+    ),
+    "dla": (
+        ("first-particle-deterministic", _check_first_particle),
+        ("cluster-invariants", _check_cluster_invariants),
+        ("load-increment-identity", _check_load_event_identity),
+        ("first-hit-oracle", _check_first_hit_oracle),
+        ("stick-above-load-bound", _check_stick_above),
+        ("entry-layer-visit-set", _check_visit_set),
+        ("new-layer-probability-bound", _check_new_layer_probe),
+        ("loop-augmentation-equivalence", _check_loop_equivalence),
+        ("long-excursion-bound", _check_excursion_bound),
+        ("snapshot-roundtrip", _check_snapshot_roundtrip),
+        ("wall-blocking", _check_wall_blocking),
+    ),
+}
 
 
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     """Results of one suite, or of every suite in order for ``"all"``."""
     if suite == "all":
-        return [r for checks in SUITES.values() for r in checks(seed)]
-    if suite not in SUITES:
+        checks = [c for table in SUITES.values() for c in table]
+    elif suite in SUITES:
+        checks = SUITES[suite]
+    else:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}, all")
-    return SUITES[suite](seed)
+    return [CheckResult(name, *check(seed)) for name, check in checks]

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cyldla.graphs import (
     add_self_loops,
+    bipartite,
     edge_list_lines,
     make_complete,
     make_cycle,
@@ -75,6 +76,16 @@ def test_hypercube():
     for v in range(8):
         for u in q3.neighbors[v]:
             assert bin(v).count("1") % 2 != bin(u).count("1") % 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["cycle:8", "cycle:9", "torus:4x4", "torus:3x3", "hypercube:3", "complete:4",
+             "random:6:3:seed=0", "random:12:3:seed=2"]
+)
+def test_bipartite_is_a_smallest_eigenvalue_of_minus_one(spec):
+    g = parse_graph_spec(spec)
+    assert bipartite(g) == (g.walk_spectrum[0][0] <= -1.0 + 1e-9)
+    assert not bipartite(add_self_loops(g))  # a loop slot is an odd cycle
 
 
 def test_random_regular_valid_and_reproducible():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyldla.dla import Cluster, drop_particle, grow, is_boundary, new_cluster
+from cyldla.dla import Cluster, _return_to_front, drop_particle, grow, is_boundary, new_cluster
 from cyldla.graphs import add_self_loops, make_complete, make_cycle, parse_graph_spec
 from cyldla.oracles import excursion_kernel, first_hit_distribution
 
@@ -166,6 +166,30 @@ def test_excursion_kernel_is_the_strip_first_return_law(spec, loops):
     assert np.abs(k.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(k - k.T).max() <= 1e-12
     assert np.abs(k - strip_kernel(graph, loops)).max() <= 1e-9
+
+
+# bases of the return draw: lattice, hops then uniform (uniform_cut 330), eigen, complete
+RETURN_BASES = ("cycle:16", "random:12:3:seed=2", "random:6:3:seed=0", "complete:5")
+
+
+@pytest.mark.parametrize("height", (1, 4, 10))
+@pytest.mark.parametrize("spec", RETURN_BASES)
+def test_return_lands_by_the_kernel_power(spec, height):
+    """A walk ``height`` layers above an empty front first reaches it from
+    vertex 0 at a vertex with law row 0 of K^height, K the excursion kernel."""
+    from scipy.special import chdtrc
+
+    cluster = new_cluster(parse_graph_spec(spec))
+    rng = _stream(28, RETURN_BASES.index(spec) * 16 + height)
+    draws = 10_000
+    landed = np.bincount(
+        [_return_to_front(cluster, 0, height, rng)[0] for _ in range(draws)], minlength=cluster.graph.n
+    )
+    kernel = excursion_kernel(cluster.graph, cluster.vertical_prob)
+    expected = draws * np.linalg.matrix_power(kernel, height)[0]
+    assert expected.min() >= 5  # every cell large enough for the chi-square law
+    chi2 = ((landed - expected) ** 2 / expected).sum()
+    assert chdtrc(cluster.graph.n - 1, chi2) > 1e-4, chi2
 
 
 def test_first_hit_at_workload_scale():

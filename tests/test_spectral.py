@@ -17,7 +17,6 @@ from cyldla.spectral import (
     MIN_ENTRY_SLACK,
     avoidance_bound,
     avoidance_frequency,
-    bipartite_like,
     check_fast_mixing,
     count_constrained_paths,
     eigen_profile,
@@ -76,16 +75,18 @@ def test_lattice_characters_match_dense_eigh(spec):
     assert "walk_spectrum" not in g.__dict__
     assert len(prof.eigenvalues) == g.n and prof.eigenvalues[0] == 1.0
     assert np.abs(np.array(prof.eigenvalues) - dense).max() <= 1e-12
-    bipartite = bipartite_like(dense[-1])
-    assert bipartite == bipartite_like(prof.eigenvalues[-1])
+    bipartite = dense[-1] <= -1.0 + 1e-9
+    assert bipartite == (prof.eigenvalues[-1] <= -1.0 + 1e-9)
     expected = 1.0 if bipartite else float(np.abs(dense[1:]).max())
     assert abs(prof.lam - expected) <= 1e-12 and (prof.lam == 1.0) == bipartite
 
 
 def test_large_cycle_lambda_is_exact():
-    prof = eigen_profile(make_cycle(5001))
-    assert abs(prof.lam - math.cos(math.pi / 5001)) <= 1e-12
-    assert len(prof.eigenvalues) == 5001
+    # from n = 70,249 on, -cos(pi/n) lies within 1e-9 of -1
+    for n in (5001, 70249):
+        prof = eigen_profile(make_cycle(n))
+        assert abs(prof.lam - math.cos(math.pi / n)) <= 1e-12
+        assert len(prof.eigenvalues) == n
 
 
 def test_walk_spectrum_is_cached_and_read_only():
@@ -162,7 +163,7 @@ def test_bipartite_bases_report_exact_unit_lambda(spec):
     g = parse_graph_spec(spec)
     prof = eigen_profile(g)
     assert prof.lam == 1.0 and prof.gap == 0.0
-    assert bipartite_like(g.walk_spectrum[0][0])
+    assert g.walk_spectrum[0][0] <= -1.0 + 1e-9
 
 
 def _exact_lazy_mixing(g, cap):
