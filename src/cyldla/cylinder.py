@@ -297,6 +297,8 @@ def slot_table(d: int, vertical_loops: int = 0) -> tuple[int, ...]:
     of a loop slot go up and down, so with D = d + loops each neighbor has
     probability 1/(D+2) and up and down each (2+loops)/(2(D+2)).
     """
+    if vertical_loops < 0:
+        raise ValueError(f"vertical_loops must be >= 0, got {vertical_loops}")
     if vertical_loops == 0:
         return tuple(range(d + 2))
     return tuple(s for s in range(d + 2) for _ in (0, 1)) + (0, 1) * vertical_loops

@@ -82,6 +82,7 @@ class ParticleOutcome:
     stick_g: int
     new_layer: bool
     min_layer_visited: int
+    literal_steps: int  # kappa less the steps that return and box draws stood in for
 
 
 @dataclass(frozen=True)
@@ -194,30 +195,30 @@ def is_boundary(cluster: Cluster, pos) -> bool:
     return False
 
 
-def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: int):
-    """Walk from (g0, M) to the first boundary vertex.
+def probe_particle(
+    cluster: Cluster, rng: np.random.Generator, cap: int = DEFAULT_STEP_CAP
+) -> ParticleOutcome:
+    """Walk one particle from a uniform entry (g0, M) to the first boundary vertex.
 
-    Returns (stick_g, stick_layer, kappa, min_layer, literal_steps).
-    Every step is taken literally, above M too, except in two places where
-    one exact draw stands in for many steps: a walk that climbs
-    ``CEILING_HEIGHT`` layers above M is brought back to M at once
-    (:func:`_return_to_front`; exact by the strong Markov property at the
-    first hit of that layer, since nothing can stick above M), and so is
-    the walk across each empty box (:func:`_box_jumps`).  The walk law
-    comes from the cluster's slot table, read block by block from a fresh
+    Nothing is committed; the drop's one record is returned.  Every step is
+    taken literally, above M too, except where one exact draw stands in for
+    many: a walk that climbs ``CEILING_HEIGHT`` layers above M is brought
+    back to M at once (:func:`_return_to_front`; exact by the strong Markov
+    property at the first hit of that layer, since nothing can stick above
+    M), and so is the walk across each empty box (:func:`_box_jumps`).  The
+    walk law is the cluster's slot table, read block by block from a fresh
     :func:`cyldla.cylinder.walk_slots` stream, so the outcome depends only
     on the cluster and the state of ``rng``.  Each position at or below M
-    costs one read of ``cluster.near``: 0 steps on, 1 sticks, ``BOX``
-    jumps; above M the walk reads no row of it.  The cap is checked before
-    every slot is taken, so no block is drawn once ``cap`` literal steps
-    are spent.
+    costs one read of ``cluster.near``: 0 steps on, 1 sticks, ``BOX`` jumps;
+    above M the walk reads no row of it.  The cap is checked before every
+    slot is taken, so no block is drawn once ``cap`` literal steps are spent.
     """
     nbrs = cluster.graph.neighbors
-    occ = cluster.occ
     near = cluster.near
     m_layer = cluster.M
     ceiling = m_layer + CEILING_HEIGHT
 
+    g0 = uniform_below(rng, cluster.graph.n)
     g, z = g0, m_layer
     literal = 0
     fast_forwarded = 0  # return and box steps beyond the literal ones, so kappa = literal + this
@@ -225,7 +226,7 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
     if near[z][g] == BOX:
         g, z, fast_forwarded, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
     if near[z][g]:
-        return _stuck(occ, g, z, fast_forwarded, min_layer, 0)
+        return _stuck(cluster, g0, g, z, fast_forwarded, min_layer, 0)
     if cap <= 0:
         raise _cap_exceeded(cap, 0, fast_forwarded, min_layer)
     for block in walk_slots(rng, cluster.slot_table):
@@ -250,7 +251,7 @@ def _walk_to_boundary(cluster: Cluster, g0: int, rng: np.random.Generator, cap: 
                     g, z, jumped, min_layer = _box_jumps(cluster, g, z, min_layer, rng)
                     fast_forwarded += jumped
                 if near[z][g]:
-                    return _stuck(occ, g, z, literal + fast_forwarded, min_layer, literal)
+                    return _stuck(cluster, g0, g, z, literal + fast_forwarded, min_layer, literal)
             if literal >= cap:
                 raise _cap_exceeded(cap, literal, literal + fast_forwarded, min_layer)
 
@@ -295,10 +296,10 @@ def _box_jumps(cluster: Cluster, g: int, z: int, min_layer: int, rng: np.random.
             return g, z, steps, min_layer
 
 
-def _stuck(occ: list[bytearray], g: int, z: int, kappa: int, min_layer: int, literal: int):
-    if occ[z][g]:
+def _stuck(cluster: Cluster, g0: int, g: int, z: int, kappa: int, min_layer: int, literal: int):
+    if cluster.occ[z][g]:
         raise RuntimeError("walk entered an occupied vertex; cluster state is corrupt")
-    return g, z, kappa, min_layer, literal
+    return ParticleOutcome(g0, kappa, z, g, z == cluster.M, min_layer, literal)
 
 
 def _cap_exceeded(cap: int, literal: int, kappa: int, min_layer: int) -> CapExceededError:
@@ -308,16 +309,6 @@ def _cap_exceeded(cap: int, literal: int, kappa: int, min_layer: int) -> CapExce
         kappa,
         min_layer,
     )
-
-
-def probe_particle(
-    cluster: Cluster, rng: np.random.Generator, cap: int = DEFAULT_STEP_CAP
-) -> ParticleOutcome:
-    """Walk one particle to the boundary without committing it."""
-    g0 = uniform_below(rng, cluster.graph.n)
-    m_before = cluster.M
-    stick_g, h, kappa, min_layer, _ = _walk_to_boundary(cluster, g0, rng, cap)
-    return ParticleOutcome(g0, kappa, h, stick_g, h == m_before, min_layer)
 
 
 def drop_particle(

@@ -282,7 +282,7 @@ def _consistency_check(
 class NewLayerResult:
     summary: EstimateSummary
     bound_check: BoundCheck | None
-    outcomes: tuple
+    outcomes: tuple[dla.ParticleOutcome, ...]  # one record per probe, in trial order
 
 
 def estimate_new_layer_probability(
@@ -298,14 +298,8 @@ def estimate_new_layer_probability(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     graph = cluster.graph
-    hits = 0
-    outcomes = []
-    for i in range(trials):
-        out = dla.probe_particle(cluster, rng, cap)
-        if out.new_layer:
-            hits += 1
-        outcomes.append((i, out.kappa, out.H, out.new_layer, out.min_layer_visited))
-    summary = EstimateSummary.from_bernoulli(hits, trials)
+    outcomes = tuple(dla.probe_particle(cluster, rng, cap) for _ in range(trials))
+    summary = EstimateSummary.from_bernoulli(sum(out.new_layer for out in outcomes), trials)
     check = None
     if graph.transitive_hint:
         check = make_bound_check(
@@ -314,7 +308,7 @@ def estimate_new_layer_probability(
             ">=",
             summary,
         )
-    return NewLayerResult(summary, check, tuple(outcomes))
+    return NewLayerResult(summary, check, outcomes)
 
 
 @dataclass(frozen=True)
@@ -446,7 +440,8 @@ def run_sweep(config: ExperimentConfig) -> SweepOutputs:
             replica_rng(config.base_seed, config.replicas),
             cap=config.step_cap,
         )
-        probe_rows = [(trial, kappa, h, int(new), low) for trial, kappa, h, new, low in probe.outcomes]
+        outs = enumerate(probe.outcomes)
+        probe_rows = [(i, o.kappa, o.H, int(o.new_layer), o.min_layer_visited) for i, o in outs]
         files.append((probes_path, "trial,kappa,H,new_layer,min_layer", probe_rows))
     written = []
     try:

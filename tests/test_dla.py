@@ -16,6 +16,7 @@ from cyldla.cylinder import (
     sample_excursion_shape,
     sample_return_shape,
     slot_cutter,
+    slot_table,
     uniform_below,
     walk_slots,
 )
@@ -443,6 +444,14 @@ def test_negative_control_law_exact(loops):
     assert new_cluster(g).vertical_prob == 2 / (d + 2)
 
 
+def test_negative_vertical_loops_are_refused():
+    # -1 would list every slot twice: the fair law, not a negative control
+    with pytest.raises(ValueError, match="vertical_loops"):
+        slot_table(3, -1)
+    with pytest.raises(ValueError, match="vertical_loops"):
+        dla.Cluster(make_cycle(30), vertical_loops=-1)
+
+
 @pytest.mark.parametrize("base", [make_cycle(6), make_complete(4)], ids=["cycle:6", "complete:4"])
 def test_first_hit_oracle_runs_the_negative_control_law(base):
     # the oracle reads the cluster's own walk law: probes on a negative
@@ -622,11 +631,11 @@ def _assert_cap_is_exact(c, fired, seed):
 
     def walk(cap=dla.DEFAULT_STEP_CAP):
         rng = np.random.default_rng(seed)
-        return dla._walk_to_boundary(c, uniform_below(rng, c.graph.n), rng, cap)
+        return probe_particle(c, rng, cap)
 
     fired.clear()
     full = walk()
-    steps = full[4]
+    steps = full.literal_steps
     assert steps > 300 and fired, f"seed {seed}: {steps} literal steps, draws {dict(fired)}"
     assert walk(cap=steps) == full
     for cap in (1, 63, 64, 65, 192, 193, steps - 1):
@@ -717,7 +726,7 @@ def _ceiling_state(spec):
 @pytest.mark.parametrize("spec", CEILING_STATES)
 def test_ceiling_matches_the_first_hit_oracle(spec, returns):
     tv, limit = _probe_tv(_ceiling_state(spec), 41)
-    assert returns["_walk_to_boundary"] > 10_000 // 20
+    assert returns["probe_particle"] > 10_000 // 20
     assert tv <= limit, f"TV {tv:.4f}"
 
 
@@ -729,7 +738,7 @@ def test_ceiling_keeps_the_law_of_the_immediate_return_walk(spec, returns):
     ref = [_immediate_return_walk(c, ref_rng) for _ in range(trials)]
     rng = np.random.default_rng(43)
     walked = [probe_particle(c, rng) for _ in range(trials)]
-    assert returns["_walk_to_boundary"] > trials // 20
+    assert returns["probe_particle"] > trials // 20
     kappa_ref = Counter(int(math.log2(kappa + 1)) for _, _, kappa, _ in ref)
     kappa_new = Counter(int(math.log2(out.kappa + 1)) for out in walked)
     site_ref = Counter((g, z) for g, z, _, _ in ref)
@@ -761,7 +770,26 @@ def test_walk_reads_no_row_of_near_above_the_front(returns):
     guarded.near = _RowsUpTo(guarded.near, top)
     rng = np.random.default_rng(44)
     assert [probe_particle(guarded, rng) for _ in range(1000)] == outs
-    assert returns["_walk_to_boundary"] > 0 and all(out.H <= top for out in outs)
+    assert returns["probe_particle"] > 0 and all(out.H <= top for out in outs)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _box_state("cycle:128"), lambda: _ceiling_state("random:40:3:seed=2")],
+    ids=["cycle:128", "random:40:3:seed=2"],
+)
+def test_literal_steps_fall_short_of_kappa_exactly_when_a_draw_stands_in(make, returns, box_jumps):
+    c = make()
+    rng = np.random.default_rng(52)
+    seen = set()
+    for _ in range(2000):
+        returns.clear()
+        box_jumps.clear()
+        out = probe_particle(c, rng)
+        drew = bool(returns or box_jumps)  # each return or box draw stands in for >= 1 step
+        assert out.literal_steps <= out.kappa
+        assert (out.literal_steps == out.kappa) == (not drew), out
+        seen.add(drew)
+    assert seen == {False, True}
 
 
 def test_cap_is_exact_where_the_ceiling_fires(returns):
@@ -836,7 +864,7 @@ def test_walk_draws_nothing_through_integers(make, layer, returns, monkeypatch):
     grow(c, rng, target_layer=layer)
     for _ in range(300):
         probe_particle(c, rng)
-    assert returns["_walk_to_boundary"] + returns["_box_jumps"] > 0  # the base kernel ran
+    assert returns["probe_particle"] + returns["_box_jumps"] > 0  # the base kernel ran
     assert (eigen_rows["calls"] > 0) == (c.graph.label == "random:6:3:seed=0")
 
 

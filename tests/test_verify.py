@@ -78,6 +78,27 @@ def test_path_bound_violation_prints_fail(monkeypatch, capsys):
     assert len(lines) == 9 and lines[-1].startswith("# 7/8 checks passed")
 
 
+def test_a_check_that_raises_fails_on_its_own_line(monkeypatch, capsys):
+    def raises(g, sets):
+        raise RuntimeError(f"no count on {g.label}")
+
+    monkeypatch.setattr(verify, "count_constrained_paths", raises)
+    assert cli.main(["verify", "spectral", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL path-count-hand-case - no count on complete:3" in lines
+    assert "FAIL path-count-spectral-bound - no count on complete:4" in lines
+    assert len(lines) == 9 and lines[-1].startswith("# 6/8 checks passed")
+
+
+def test_a_raising_oracle_fails_only_its_check(monkeypatch):
+    def raises(*args):
+        raise RuntimeError("oracle failed")
+
+    monkeypatch.setattr(verify, "first_hit_distribution", raises)
+    results = verify.run_suite("dla", seed=1)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [("first-hit-oracle", "oracle failed")]
+
+
 def test_mutated_load_at_least_is_caught(monkeypatch):
     original = dla.load_at_least
     monkeypatch.setattr(dla, "load_at_least", lambda cluster, i: original(cluster, i + 1))
