@@ -7,7 +7,8 @@ that is already on the boundary sticks with zero steps).  The cluster keeps
 a sticking map beside its occupancy, one byte per vertex that is set exactly
 when the vertex is occupied or has an occupied neighbour, so the walker
 decides "stuck?" with one read per step.  :func:`_commit` is the only code
-that writes either.
+that writes either during growth; a replay builds both at once from the
+finished occupancy.
 
 No boundary vertex exists strictly above layer M, so the walk cannot stick
 during an excursion above M, and it reads no sticking-map row there.  Most
@@ -33,8 +34,8 @@ sticking distribution.
 
 A snapshot file names its base graph by label and lists the sticks in
 order.  :func:`load_snapshot` only parses it; :func:`cluster_from_snapshot`
-replays the sticks on the named graph through :func:`is_boundary`, the one
-check of the sticking rule a snapshot meets.
+rebuilds the cluster on the named graph in whole-array passes over a grid
+of arrival times, the one check of the sticking rule a snapshot meets.
 """
 from __future__ import annotations
 
@@ -117,8 +118,9 @@ class Cluster:
     ``boxes`` is set (the plain cycle's lattice tag, n >= 2R + 2, the fair
     walk), ``near`` is ``BOX`` where no occupied vertex lies within
     L-infinity distance R = ``BOX_RADIUS``, columns counted round the cycle.
-    Both ``occ`` and ``near`` hold M + 2 layers and are written only by
-    :func:`_commit`.  A cluster holds no random state: each drop draws from
+    Both ``occ`` and ``near`` hold M + 2 layers; growth writes them only
+    through :func:`_commit`, and :func:`cluster_from_snapshot` builds them
+    whole.  A cluster holds no random state: each drop draws from
     the generator it is given.
     Confine one cluster to one thread; independent replicas may run
     concurrently.
@@ -162,10 +164,21 @@ class Cluster:
         r = BOX_RADIUS
         rows = self.occ[max(0, z - r) : z + r + 1]
         taken = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n).any(axis=0)
-        ring = np.concatenate([taken[-r:], taken, taken[:r]])
-        sums = np.concatenate([[0], np.cumsum(ring)])
-        blocked = sums[2 * r + 1 :] != sums[: -2 * r - 1]  # any of columns g-r..g+r
-        return bytearray(np.where(blocked, 0, BOX).astype(np.uint8).tobytes())
+        return bytearray(_box_marks(taken))
+
+
+def _box_marks(taken: np.ndarray) -> np.ndarray:
+    """``BOX`` where none of columns g-R..g+R of ``taken`` is set, else 0.
+
+    ``taken`` says, per layer and column, whether any vertex within R
+    layers is occupied; columns are counted round the cycle.  The window
+    runs along the last axis, so one row and a stack of rows share it.
+    """
+    r = BOX_RADIUS
+    ring = np.concatenate([np.zeros_like(taken[..., :1]), taken[..., -r:], taken, taken[..., :r]], axis=-1)
+    sums = ring.cumsum(axis=-1, dtype=np.int32)
+    free = sums[..., 2 * r + 1 :] == sums[..., : -2 * r - 1]  # none of columns g-r..g+r
+    return free.view(np.uint8) * np.uint8(BOX)
 
 
 def new_cluster(graph: RegularGraph) -> Cluster:
@@ -621,24 +634,25 @@ def load_snapshot(path) -> SnapshotData:
     checked by :func:`cluster_from_snapshot` on the named graph.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    words = lines[0].split() if lines else []
+        lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    head = lines[0][1] if lines else ""
+    words = head.split()
     if words[:2] == ["cyldla", "v1"]:
         raise ValueError("snapshot is cyldla v1, which names no base graph")
     if words[:2] != SNAPSHOT_MAGIC.split():
         raise ValueError(f"snapshot file does not start with {SNAPSHOT_MAGIC!r}")
     fields = dict(word.partition("=")[::2] for word in words[2:])
     if not fields.get("graph"):
-        raise ValueError(f"snapshot header needs a graph=: {lines[0]!r}")
+        raise ValueError(f"snapshot header needs a graph=: {head!r}")
     header = []
     for key in ("n", "d", "t", "M"):
         try:
             header.append(int(fields[key]))
         except (KeyError, ValueError):
-            raise ValueError(f"snapshot header needs an integer {key}=: {lines[0]!r}") from None
+            raise ValueError(f"snapshot header needs an integer {key}=: {head!r}") from None
     n = header[0]
     sticks = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             layer, vertex = (int(x) for x in line.split())
         except ValueError:
@@ -655,6 +669,15 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
     ``graph`` must carry the label, n and d the snapshot names.  Each stick,
     in order, must land on a boundary vertex of the cluster before it, and
     the replay must end at the header's t and M; otherwise ValueError.
+
+    The sticks are checked and the cluster built in whole-array passes over
+    ``arrive[z][g]``, the number of the first stick at (g, z): 0 on the
+    floor layer and t + 1 where none lands.  Stick k at (g, h) is on the
+    boundary of the cluster before it exactly when ``arrive[h][g]`` is k and
+    some neighbour, (g, h +- 1) or (u, h) for a base neighbour u, arrived
+    before k.  That holds up to the first stick that fails, since every
+    stick before it was placed.  A stick above layer k can never land and
+    is not placed, so no layer of the grid lies above t.
     """
     if (graph.label, graph.n, graph.d) != (snap.graph, snap.n, snap.d):
         raise ValueError(
@@ -662,18 +685,58 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
             f"not {graph.label} with n={graph.n} d={graph.d}"
         )
     cluster = new_cluster(graph)
-    for k, (layer, vertex) in enumerate(snap.sticks, start=1):
-        if not is_boundary(cluster, (vertex, layer)):
-            raise ValueError(
-                f"snapshot stick {k} at layer {layer}, vertex {vertex} "
-                "is not on the boundary of the cluster before it"
-            )
-        _commit(cluster, vertex, layer)
-    if cluster.M != snap.M or cluster.t != snap.t:
+    n, t = graph.n, len(snap.sticks)
+    nbrs = np.array(graph.neighbors, dtype=np.int64).reshape(n, graph.d)
+    order = np.arange(1, t + 1)
+    # clipped, so the checks below see any out-of-range stick as out of range
+    layer, vertex = np.clip(np.array(snap.sticks).reshape(-1, 2), (0, -1), (t + 1, n)).astype(np.int64).T
+    placed = (layer >= 1) & (layer <= order) & (vertex >= 0) & (vertex < n)
+    h, g, k = layer[placed], vertex[placed], order[placed]
+    top = int(h.max(initial=0))
+    arrive = np.full((top + 3, n), t + 1, dtype=np.min_scalar_type(t + 1))
+    arrive[0] = 0
+    cells, first = np.unique(h * n + g, return_index=True)
+    arrive.flat[cells] = k[first]
+    touched = np.minimum(arrive[h - 1, g], arrive[h + 1, g])
+    touched = np.minimum(touched, arrive[h[:, None], nbrs[g]].min(axis=1, initial=t + 1))
+    landed = np.zeros(t, dtype=bool)
+    landed[placed] = (arrive[h, g] == k) & (touched < k)
+    if not landed.all():
+        bad = int(np.argmin(landed))
+        layer, vertex = snap.sticks[bad]
+        raise ValueError(
+            f"snapshot stick {bad + 1} at layer {layer}, vertex {vertex} "
+            "is not on the boundary of the cluster before it"
+        )
+    if top + 1 != snap.M or t != snap.t:
         raise ValueError(
             f"snapshot header has t={snap.t} M={snap.M}; "
-            f"its sticks give t={cluster.t} M={cluster.M}"
+            f"its sticks give t={t} M={top + 1}"
         )
+    occ = (arrive <= t).view(np.uint8)
+    near = occ.copy()
+    near[1:] |= occ[:-1]
+    near[:-1] |= occ[1:]
+    for column in nbrs.T:
+        near |= occ[:, column]
+    if cluster.boxes:
+        # where a box fits, no vertex within R is occupied, so near is 0 there
+        r, z = BOX_RADIUS, np.arange(top + 3)
+        sums = np.zeros((top + 4, n), dtype=np.min_scalar_type(top + 3))  # sums[z]: occupied rows below z
+        np.cumsum(occ, axis=0, dtype=sums.dtype, out=sums[1:])
+        near |= _box_marks(sums[np.minimum(z + r + 1, top + 3)] != sums[np.maximum(z - r, 0)])
+    loads = occ.sum(axis=1)
+    walls = np.flatnonzero(loads[1:] == n) + 1
+    wall_ts = arrive[walls].max(axis=1)
+    by_time = np.argsort(wall_ts)
+    cluster.occ = [bytearray(row) for row in occ]
+    cluster.near = [bytearray(row) for row in near]
+    cluster.loads = loads.tolist()
+    cluster.M = top + 1
+    cluster.t = t
+    cluster.stick_log = [(k, vertex, layer) for k, (layer, vertex) in enumerate(snap.sticks, start=1)]
+    cluster.first_reach = dict(zip(range(1, top + 1), arrive[1 : top + 1].min(axis=1).tolist()))
+    cluster.wall_times = list(zip(walls[by_time].tolist(), wall_ts[by_time].tolist()))
     return cluster
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dla import SnapshotData
 
 BACKGROUND = (12, 12, 16)
@@ -31,22 +33,21 @@ class RenderResult:
     warnings: tuple[str, ...]
 
 
-def _ramp(order: int, total: int) -> tuple[int, int, int]:
-    if total <= 0:
-        return BASE_COLOR
-    f = order / total
-    return tuple(
-        int(round(a + f * (b - a))) for a, b in zip(RAMP_FROM, RAMP_TO)
-    )
+def _ramp(order, total: int) -> np.ndarray:
+    """Ramp colour at ``order / total`` as uint8 RGB; ``order`` may be an array of orders."""
+    f = np.asarray(order)[..., None] / total
+    start = np.array(RAMP_FROM)
+    return np.rint(start + f * (np.array(RAMP_TO) - start)).astype(np.uint8)
 
 
-def _ppm(width: int, height: int, layer_rows, scale: int) -> bytes:
-    """Binary pixmap from one row of pixel bytes per layer, top layer first.
+def _ppm(layer_rows: np.ndarray, scale: int) -> bytes:
+    """Binary pixmap from one row of RGB pixels per layer, top layer first.
 
     Each row already repeats every cell's colour ``scale`` times across; it
     is emitted ``scale`` times down.
     """
-    return b"P6\n%d %d\n255\n" % (width, height) + b"".join(row * scale for row in layer_rows)
+    height, width = len(layer_rows) * scale, layer_rows.shape[1]
+    return b"".join((b"P6\n%d %d\n255\n" % (width, height), np.repeat(layer_rows, scale, axis=0)))
 
 
 def _svg(width: int, height: int, rects) -> bytes:
@@ -74,7 +75,9 @@ def render_snapshot(
     ``style`` is ``pixels`` (cycle bases only), ``bars``, or ``auto`` which
     picks pixels exactly when d = 2.  Requesting pixels on a non-cycle base
     falls back to bars with a warning.  The floor is drawn from n and stick
-    k takes the ramp colour at k / t; the sticks are not checked here.
+    k takes the ramp colour at k / t, the last stick on a cell showing; the
+    sticks are not checked against the sticking rule here, but the header's
+    t must count them and each must lie in n x layers >= 0 (ValueError).
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -86,60 +89,56 @@ def render_snapshot(
     elif style == "pixels" and snap.d != 2:
         warnings.append("pixel style needs a cycle base (d=2); falling back to bars")
         style = "bars"
-    if style == "pixels":
-        result = _render_pixels(snap, fmt, scale)
-    elif style == "bars":
-        result = _render_bars(snap, fmt, scale)
-    else:
+    if style not in ("pixels", "bars"):
         raise ValueError(f"style must be 'auto', 'pixels', or 'bars', got {style!r}")
-    data, width, height = result
+    if snap.t != len(snap.sticks):
+        raise ValueError(f"snapshot header has t={snap.t} but lists {len(snap.sticks)} sticks")
+    layer, vertex = np.array(snap.sticks, dtype=np.int64).reshape(-1, 2).T
+    if layer.size and (layer.min() < 0 or vertex.min() < 0 or vertex.max() >= snap.n):
+        raise ValueError(f"snapshot has a stick outside n={snap.n} x layers >= 0")
+    layers = int(layer.max(initial=0)) + 1  # the full floor layer 0 up to the highest stick
+    if style == "pixels":
+        data, width, height = _render_pixels(snap, layer, vertex, layers, fmt, scale)
+    else:
+        data, width, height = _render_bars(snap.n, layer, layers, fmt, scale)
     return RenderResult(data, width, height, style, fmt, tuple(warnings))
 
 
-def _layer_count(snap: SnapshotData) -> int:
-    """Layers drawn: the full floor layer 0 up to the highest stick."""
-    return max((layer for layer, _ in snap.sticks), default=0) + 1
-
-
-def _render_pixels(snap: SnapshotData, fmt: str, scale: int):
-    layers = _layer_count(snap)
+def _render_pixels(snap: SnapshotData, layer, vertex, layers: int, fmt: str, scale: int):
     width, height = snap.n * scale, layers * scale
-    grid = {(vertex, 0): BASE_COLOR for vertex in range(snap.n)}
-    for k, (layer, vertex) in enumerate(snap.sticks, start=1):
-        grid[(vertex, layer)] = _ramp(k, snap.t)
+    palette = np.vstack([BACKGROUND, BASE_COLOR, _ramp(np.arange(1, snap.t + 1), snap.t)]).astype(np.uint8)
+    index = np.min_scalar_type(snap.t + 1)
+    cell = np.zeros((layers, snap.n), dtype=index)  # palette index: 0 empty, 1 floor, k + 1 stick k
+    cell[0] = 1
+    np.maximum.at(cell, (layer, vertex), np.arange(2, snap.t + 2, dtype=index))  # the last stick on a cell wins
     if fmt == "ppm":
-        background = bytes(BACKGROUND) * scale
-        cells = [[background] * snap.n for _ in range(layers)]
-        for (vertex, layer), color in grid.items():
-            cells[layer][vertex] = bytes(color) * scale
-        rows = [b"".join(row) for row in reversed(cells)]
-        return _ppm(width, height, rows, scale), width, height
+        return _ppm(np.repeat(palette[cell[::-1]], scale, axis=1), scale), width, height
+    columns, rows = np.nonzero(cell.T)  # drawn cells by vertex, then layer
     rects = [
-        (vertex * scale, (layers - 1 - layer) * scale, scale, scale, color)
-        for (vertex, layer), color in sorted(grid.items())
+        (x, y, scale, scale, tuple(color))
+        for x, y, color in zip(
+            (columns * scale).tolist(),
+            ((layers - 1 - rows) * scale).tolist(),
+            palette[cell[rows, columns]].tolist(),
+        )
     ]
     return _svg(width, height, rects), width, height
 
 
-def _render_bars(snap: SnapshotData, fmt: str, scale: int):
-    layers = _layer_count(snap)
-    loads = [snap.n] + [0] * (layers - 1)
-    for layer, _ in snap.sticks:
-        loads[layer] += 1
+def _render_bars(n: int, layer, layers: int, fmt: str, scale: int):
+    loads = np.bincount(layer, minlength=layers)
+    loads[0] += n
     bar_width = 64 * scale
     width, height = bar_width, layers * scale
-    fills = [round(bar_width * load / snap.n) for load in loads]
+    fills = np.rint(bar_width * loads / n).astype(np.int64)
+    colors = np.array([BASE_COLOR] + [BAR_COLOR] * (layers - 1), dtype=np.uint8)
     if fmt == "ppm":
-        rows = []
-        for layer in reversed(range(layers)):
-            fill = min(fills[layer], bar_width)
-            color = BASE_COLOR if layer == 0 else BAR_COLOR
-            rows.append(bytes(color) * fill + bytes(BACKGROUND) * (bar_width - fill))
-        return _ppm(width, height, rows, scale), width, height
+        lit = np.arange(bar_width) < fills[:, None]
+        rows = np.where(lit[..., None], colors[:, None], np.array(BACKGROUND, dtype=np.uint8))
+        return _ppm(rows[::-1], scale), width, height
     rects = [
-        (0, (layers - 1 - layer) * scale, fills[layer], scale,
-         BASE_COLOR if layer == 0 else BAR_COLOR)
-        for layer in range(layers)
-        if fills[layer] > 0
+        (0, (layers - 1 - z) * scale, fill, scale, BASE_COLOR if z == 0 else BAR_COLOR)
+        for z, fill in enumerate(fills.tolist())
+        if fill > 0
     ]
     return _svg(width, height, rects), width, height

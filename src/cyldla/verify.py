@@ -444,7 +444,7 @@ def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     for name, check in checks:
         try:
             passed, detail = check(seed)
-        except Exception as exc:  # a check that raises fails on its own line
-            passed, detail = False, str(exc)
+        except Exception as exc:  # a check that raises fails on its own line, named by its type
+            passed, detail = False, ": ".join(filter(None, (type(exc).__name__, str(exc))))
         results.append(CheckResult(name, passed, detail))
     return results

@@ -923,6 +923,127 @@ def test_replay_requires_each_stick_on_the_boundary(n, t, M, sticks):
         cluster_from_snapshot(snap, make_cycle(n))
 
 
+def _incremental_replay(snap, graph):
+    """Replay stick by stick: one sticking check and one commit per stick."""
+    if (graph.label, graph.n, graph.d) != (snap.graph, snap.n, snap.d):
+        raise ValueError(
+            f"snapshot names graph={snap.graph} n={snap.n} d={snap.d}, "
+            f"not {graph.label} with n={graph.n} d={graph.d}"
+        )
+    cluster = new_cluster(graph)
+    for k, (layer, vertex) in enumerate(snap.sticks, start=1):
+        if not is_boundary(cluster, (vertex, layer)):
+            raise ValueError(
+                f"snapshot stick {k} at layer {layer}, vertex {vertex} "
+                "is not on the boundary of the cluster before it"
+            )
+        dla._commit(cluster, vertex, layer)
+    if cluster.M != snap.M or cluster.t != snap.t:
+        raise ValueError(
+            f"snapshot header has t={snap.t} M={snap.M}; "
+            f"its sticks give t={cluster.t} M={cluster.M}"
+        )
+    return cluster
+
+
+def _fields(cluster):
+    fields = {k: v for k, v in vars(cluster).items() if k != "_kernel"}
+    fields["first_reach"] = list(cluster.first_reach.items())  # in the order layers were reached
+    return fields
+
+
+def _as_snapshot(cluster, **header):
+    g = cluster.graph
+    sticks = tuple((layer, vertex) for _, vertex, layer in cluster.stick_log)
+    fields = dict(graph=g.label, n=g.n, d=g.d, t=cluster.t, M=cluster.M, sticks=sticks)
+    return dla.SnapshotData(**{**fields, **header})
+
+
+@pytest.mark.parametrize(
+    "graph, particles",
+    [
+        (make_cycle(500), 1500),
+        (make_cycle(16), 300),
+        (make_cycle(64), 600),  # boxes fit
+        (parse_graph_spec("random:500:3:seed=1"), 500),
+        (parse_graph_spec("random:40:3:seed=2"), 300),
+        (parse_graph_spec("torus:4x4x4"), 400),
+        (make_complete(5), 200),
+        (add_self_loops(make_cycle(6)), 150),  # loop slots
+        (make_cycle(3), 300),  # completes walls
+    ],
+    ids=lambda x: x.label if hasattr(x, "label") else str(x),
+)
+def test_replay_equals_the_incremental_build(tmp_path, graph, particles):
+    c = new_cluster(graph)
+    grow(c, np.random.default_rng(71), particles=particles)
+    save_snapshot(c, tmp_path / "c.snap")
+    snap = load_snapshot(tmp_path / "c.snap")
+    replayed = cluster_from_snapshot(snap, graph)
+    assert _fields(replayed) == _fields(_incremental_replay(snap, graph)) == _fields(c)
+    assert all(type(x) is int for x in replayed.loads + [v for _, v in replayed.first_reach.items()])
+    assert all(type(row) is bytearray for row in replayed.occ + replayed.near)
+    if graph.label == "cycle:3":
+        assert replayed.wall_times
+    if graph.label == "cycle:64":
+        assert any(dla.BOX in row for row in replayed.near)
+    grow(replayed, np.random.default_rng(72), particles=20)  # the replayed rows grow like any others
+    grow(c, np.random.default_rng(72), particles=20)
+    assert _fields(replayed) == _fields(c)
+
+
+def test_fresh_snapshot_replays_to_a_fresh_cluster():
+    g = make_cycle(64)
+    assert _fields(cluster_from_snapshot(_as_snapshot(new_cluster(g)), g)) == _fields(new_cluster(g))
+
+
+def _not_on_boundary(k, layer, vertex):
+    return f"snapshot stick {k} at layer {layer}, vertex {vertex} is not on the boundary of the cluster before it"
+
+
+@pytest.mark.parametrize(
+    "header, sticks, message",
+    [
+        ({"M": 2}, ((1, 0), (0, 3)), _not_on_boundary(2, 0, 3)),  # on the occupied floor
+        ({"M": 2}, ((1, 2), (1, 3), (1, 2)), _not_on_boundary(3, 1, 2)),  # a duplicate
+        ({"M": 3}, ((1, 0), (2, 3)), _not_on_boundary(2, 2, 3)),  # floating
+        ({"M": 3}, ((1, 0), (10**12, 0), (2, 0)), _not_on_boundary(2, 10**12, 0)),
+        ({"M": 3}, ((1, 0), (10**30, 0)), _not_on_boundary(2, 10**30, 0)),
+        ({"M": 2}, ((1, 0), (-1, 1)), _not_on_boundary(2, -1, 1)),  # below the floor
+        ({"t": 3, "M": 3}, ((1, 0), (2, 0)), "snapshot header has t=3 M=3; its sticks give t=2 M=3"),
+        ({"M": 4}, ((1, 0), (2, 0)), "snapshot header has t=2 M=4; its sticks give t=2 M=3"),
+        ({"n": 7}, ((1, 0),), "snapshot names graph=cycle:8 n=7 d=2, not cycle:8 with n=8 d=2"),
+        ({"graph": "cycle:9"}, ((1, 0),), "snapshot names graph=cycle:9 n=8 d=2, not cycle:8 with n=8 d=2"),
+    ],
+)
+def test_malformed_snapshot_gives_the_incremental_message(header, sticks, message):
+    g = make_cycle(8)
+    fields = {"graph": g.label, "n": 8, "d": 2, "t": len(sticks), "M": 2, "sticks": sticks}
+    snap = dla.SnapshotData(**{**fields, **header})
+    for replay in (cluster_from_snapshot, _incremental_replay):
+        with pytest.raises(ValueError) as err:
+            replay(snap, g)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("vertex", [8, -1])
+def test_replay_refuses_a_stick_off_the_base(vertex):
+    # load_snapshot never yields these; a hand-built snapshot is refused like any floating stick
+    snap = dla.SnapshotData("cycle:8", 8, 2, 2, 2, ((1, 0), (1, vertex)))
+    with pytest.raises(ValueError, match=f"^{_not_on_boundary(2, 1, vertex)}$"):
+        cluster_from_snapshot(snap, make_cycle(8))
+
+
+def test_snapshot_errors_name_the_line_in_the_file(tmp_path):
+    path = tmp_path / "c.snap"
+    path.write_text("\ncyldla v2 graph=cycle:4 n=4 d=2 t=2 M=2\n1 0\n\n\n1 x\n")
+    with pytest.raises(ValueError, match="^snapshot line 6 is not 2 integers: '1 x'$"):
+        load_snapshot(path)
+    path.write_text("cyldla v2 graph=cycle:4 n=4 d=2 t=2 M=2\n\n1 0\n\n1 4\n")
+    with pytest.raises(ValueError, match="^snapshot line 5 is outside n=4 x layers >= 1: '1 4'$"):
+        load_snapshot(path)
+
+
 def test_load_increment_event_identity():
     g = make_complete(4)
     c = new_cluster(g)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,60 @@ def test_row_renderer_matches_per_pixel_reference(spec, particles, scale):
         res = render_snapshot(snap, style=style, scale=scale)
         # pixels on a non-cycle base fall back to bars
         assert res.data == _per_pixel_ppm(snap, res.style, scale)
+
+
+RENDER_DIGESTS = {
+    ("pixels", "ppm", 1): "ade226ed920bef5a2dde6943d12000ee9452f837156ddd3139feebbb16ef066b",
+    ("pixels", "ppm", 2): "53e89e411c9de3e6f9bad3acd5e423800f52df7acae7d3ddfea147737b82394f",
+    ("pixels", "ppm", 4): "cedde661e82aa58ec8c855628bf3b6b6408d7ba9018782f790222b32e0c3119c",
+    ("pixels", "svg", 1): "5667d79eccfa9bd9897a76c9572382ecf1e2d3bfa5b7c04294890cd9cf8bb06f",
+    ("pixels", "svg", 2): "181f1a5f6fc042a0da3fb633514a1269f28cb8585d560daaf620726a229e4699",
+    ("pixels", "svg", 4): "3df2511d5248a74ae5a8d781a2e814bb956cc950ad1b00abda169fe3356e0410",
+    ("bars", "ppm", 1): "6f629c39d799fe1a2553ca21336e8d55a2c393b24e6a8f840d20a69e8de9b291",
+    ("bars", "ppm", 2): "5aff656084802d904f86f10e499f0f7a3e4c8973413c1f4fd0ad127c48d6b0fe",
+    ("bars", "ppm", 4): "2de1b90a6cc34606310737b00efa47c7d1922a0f1e91e352490b8430076915a0",
+    ("bars", "svg", 1): "47bc7b7e75112ce867ba2599046bf74227b955e4cbb7382e0f13c7f6c653fcc2",
+    ("bars", "svg", 2): "c85e17d7be44e806ce9b7608dba7cb35cb308a5d927994b4ea3cf347dce2780c",
+    ("bars", "svg", 4): "a44e502f540bab6b2ef69fb99bc254ecbebe58c55d2d0c153bf4b4ce7d50fa56",
+}
+
+
+@pytest.mark.parametrize("style, fmt, scale", sorted(RENDER_DIGESTS))
+def test_render_bytes_are_pinned(style, fmt, scale):
+    # cycle:24 grown 250 particles from seed 7: M = 53, no wall
+    snap = _snapshot(make_cycle(24), 250, 7)
+    data = render_snapshot(snap, style=style, fmt=fmt, scale=scale).data
+    assert hashlib.sha256(data).hexdigest() == RENDER_DIGESTS[style, fmt, scale]
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("ppm", "3ad454c2f65481b1f4f69590e5cddf8825e69e33f70dd496bef5d93543bd09a0"),
+        ("svg", "7f66a7044d88f12299b8934a1e93f80fd24a7bcf11f019e36fc0ce6e1828ca6b"),
+    ],
+)
+def test_snapshot_is_drawn_as_given_with_the_last_stick_on_top(fmt, digest):
+    # a repeated cell and a stick on the floor: no replay would accept this
+    snap = dla.SnapshotData("cycle:5", 5, 2, 4, 3, ((1, 0), (2, 4), (1, 0), (0, 3)))
+    data = render_snapshot(snap, fmt=fmt, scale=1).data
+    assert hashlib.sha256(data).hexdigest() == digest
+    if fmt == "ppm":
+        _, _, px = _parse_ppm(data)
+        assert tuple(px[1, 0]) == tuple(_ramp(3, 4)) and tuple(px[2, 3]) == tuple(_ramp(4, 4))
+
+
+@pytest.mark.parametrize("style", ["pixels", "bars"])
+@pytest.mark.parametrize(
+    "t, sticks, message",
+    [
+        (2, ((1, 0),), "snapshot header has t=2 but lists 1 sticks"),
+        (1, ((1, 0), (2, 0)), "snapshot header has t=1 but lists 2 sticks"),
+        (1, ((1, 5),), "snapshot has a stick outside n=5 x layers >= 0"),
+        (1, ((-1, 0),), "snapshot has a stick outside n=5 x layers >= 0"),
+    ],
+)
+def test_render_refuses_a_snapshot_it_cannot_draw(style, t, sticks, message):
+    snap = dla.SnapshotData("cycle:5", 5, 2, t, 2, sticks)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        render_snapshot(snap, style=style)

@@ -74,7 +74,10 @@ def test_path_bound_violation_prints_fail(monkeypatch, capsys):
     monkeypatch.setattr(verify, "count_constrained_paths", violated_on_random)
     assert cli.main(["verify", "spectral", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "FAIL path-count-spectral-bound - exact path count exceeds spectral bound on random:10:3:seed=1" in lines
+    assert (
+        "FAIL path-count-spectral-bound - RuntimeError: exact path count exceeds spectral bound on random:10:3:seed=1"
+        in lines
+    )
     assert len(lines) == 9 and lines[-1].startswith("# 7/8 checks passed")
 
 
@@ -85,8 +88,8 @@ def test_a_check_that_raises_fails_on_its_own_line(monkeypatch, capsys):
     monkeypatch.setattr(verify, "count_constrained_paths", raises)
     assert cli.main(["verify", "spectral", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "FAIL path-count-hand-case - no count on complete:3" in lines
-    assert "FAIL path-count-spectral-bound - no count on complete:4" in lines
+    assert "FAIL path-count-hand-case - RuntimeError: no count on complete:3" in lines
+    assert "FAIL path-count-spectral-bound - RuntimeError: no count on complete:4" in lines
     assert len(lines) == 9 and lines[-1].startswith("# 6/8 checks passed")
 
 
@@ -96,7 +99,21 @@ def test_a_raising_oracle_fails_only_its_check(monkeypatch):
 
     monkeypatch.setattr(verify, "first_hit_distribution", raises)
     results = verify.run_suite("dla", seed=1)
-    assert [(r.name, r.detail) for r in results if not r.passed] == [("first-hit-oracle", "oracle failed")]
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        ("first-hit-oracle", "RuntimeError: oracle failed")
+    ]
+
+
+@pytest.mark.parametrize(
+    "exc, detail", [(ZeroDivisionError(), "ZeroDivisionError"), (KeyError(3), "KeyError: 3")]
+)
+def test_a_raised_exception_is_named_by_its_type(monkeypatch, capsys, exc, detail):
+    def raises(g, sets):
+        raise exc
+
+    monkeypatch.setattr(verify, "count_constrained_paths", raises)
+    assert cli.main(["verify", "spectral", "--seed", "1"]) == 1
+    assert f"FAIL path-count-hand-case - {detail}" in capsys.readouterr().out.splitlines()
 
 
 def test_mutated_load_at_least_is_caught(monkeypatch):
