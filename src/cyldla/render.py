@@ -77,7 +77,8 @@ def render_snapshot(
     falls back to bars with a warning.  The floor is drawn from n and stick
     k takes the ramp colour at k / t, the last stick on a cell showing; the
     sticks are not checked against the sticking rule here, but the header's
-    t must count them and each must lie in n x layers >= 0 (ValueError).
+    t must count them and each must lie in n x layers 0..t, since stick k
+    lies at most at layer k (ValueError).
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -93,9 +94,12 @@ def render_snapshot(
         raise ValueError(f"style must be 'auto', 'pixels', or 'bars', got {style!r}")
     if snap.t != len(snap.sticks):
         raise ValueError(f"snapshot header has t={snap.t} but lists {len(snap.sticks)} sticks")
-    layer, vertex = np.array(snap.sticks, dtype=np.int64).reshape(-1, 2).T
+    # clipped, so a stick too far out for int64 is still seen as out of range
+    layer, vertex = np.clip(np.array(snap.sticks).reshape(-1, 2), -1, (snap.t + 1, snap.n)).astype(np.int64).T
     if layer.size and (layer.min() < 0 or vertex.min() < 0 or vertex.max() >= snap.n):
         raise ValueError(f"snapshot has a stick outside n={snap.n} x layers >= 0")
+    if layer.size and layer.max() > snap.t:
+        raise ValueError(f"snapshot has a stick above layer t={snap.t}")
     layers = int(layer.max(initial=0)) + 1  # the full floor layer 0 up to the highest stick
     if style == "pixels":
         data, width, height = _render_pixels(snap, layer, vertex, layers, fmt, scale)

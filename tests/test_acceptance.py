@@ -7,7 +7,6 @@ fails the suite.
 import io
 import math
 import time
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -30,9 +29,9 @@ from cyldla.graphs import (
     make_torus,
     parse_graph_spec,
 )
-from cyldla.oracles import first_hit_distribution, total_variation
 from cyldla.spectral import avoidance_bound, avoidance_frequency, count_constrained_paths, eigen_profile
 from cyldla.stats import EstimateSummary
+from lawgate import drop_gate
 
 
 class criterion:
@@ -89,21 +88,12 @@ def test_criterion_02_first_layer_time_is_always_one():
         c.note("T_1 = 1 in 1000 consecutive drops on 4 bases, zero tolerance")
 
 
+@pytest.mark.lawgate
 def test_criterion_03_first_hit_oracle_total_variation():
     with criterion(3, 60.0) as c:
-        g = make_complete(3)
-        cluster = dla.new_cluster(g)
+        cluster = dla.new_cluster(make_complete(3))
         dla.drop_particle(cluster, np.random.default_rng(3))
-        oracle = first_hit_distribution(cluster)
-        rng = np.random.default_rng(30)
-        trials = 100_000
-        counts: Counter = Counter()
-        for _ in range(trials):
-            out = dla.probe_particle(cluster, rng)
-            counts[(out.stick_g, out.H)] += 1
-        empirical = {k: v / trials for k, v in counts.items()}
-        tv = total_variation(empirical, oracle)
-        assert tv <= 0.01, f"TV {tv}"
+        tv, _ = drop_gate(cluster, 30, 100_000, bound=0.01)
         c.note(f"particle-2 stick distribution TV={tv:.4f} <= 0.01 vs linear system")
 
 

@@ -30,6 +30,7 @@ from cyldla.cylinder import (
 )
 from cyldla.graphs import make_cycle, parse_graph_spec
 from cyldla.stats import chi_square_two_sample
+from lawgate import count_calls, draw_gate
 
 
 def test_excursion_shape_sampler_moments():
@@ -45,19 +46,14 @@ def test_excursion_shape_sampler_moments():
     assert max(lengths) > 10_000
 
 
+@pytest.mark.lawgate
 def test_transition_sampler_matches_matrix_power():
     g = make_cycle(5)
     kernel = GTransitionSampler(g)
-    p = g.transition_matrix()
     for gamma in (1, 3, 70, 121):
-        expected = np.linalg.matrix_power(p, gamma)[0]
         rng = np.random.default_rng(100 + gamma)
-        counts = np.zeros(g.n)
-        trials = 30_000
-        for _ in range(trials):
-            counts[kernel.sample(0, gamma, rng)] += 1
-        tv = 0.5 * np.abs(counts / trials - expected).sum()
-        assert tv < 0.02, f"gamma={gamma}: tv={tv}"
+        draws = [kernel.sample(0, gamma, rng) for _ in range(30_000)]
+        draw_gate(draws, np.linalg.matrix_power(g.transition_matrix(), gamma)[0], bound=0.02)
 
 
 def test_transition_sampler_preserves_parity_on_bipartite():
@@ -87,12 +83,14 @@ EXACT_LAW_BASES = (
 )
 
 
+@pytest.mark.lawgate
 @pytest.mark.parametrize("gamma", [1, 7, 100, 1001, 10**6])
 @pytest.mark.parametrize("spec", EXACT_LAW_BASES)
 def test_transition_sampler_exact_law_on_every_route(spec, gamma):
     _assert_exact_kernel_law(GTransitionSampler(parse_graph_spec(spec)), gamma)
 
 
+@pytest.mark.lawgate
 def test_transition_sampler_hops_on_two_byte_units():
     kernel = GTransitionSampler(parse_graph_spec("complete:300"))
     assert slot_cutter(kernel._hops)[1] == 2 and kernel.uniform_cut == 7
@@ -103,14 +101,9 @@ def test_transition_sampler_hops_on_two_byte_units():
 def _assert_exact_kernel_law(kernel, gamma):
     g = kernel.graph
     start = g.n // 3
-    expected = np.linalg.matrix_power(g.transition_matrix(), gamma)[start]
     rng = np.random.default_rng(gamma % 1009 + 17 * g.n)
-    trials = 20_000
-    counts = np.bincount([kernel.sample(start, gamma, rng) for _ in range(trials)], minlength=g.n)
-    tv = 0.5 * np.abs(counts / trials - expected).sum()
-    # expected TV of an exact sampler: 1/2 sum_j E|p_hat_j - p_j|
-    noise = 0.5 * np.sqrt(2 * expected * (1 - expected) / (np.pi * trials)).sum()
-    assert tv <= 3 * noise, f"{g.label} gamma={gamma}: tv={tv:.4f}, noise={noise:.4f}"
+    draws = [kernel.sample(start, gamma, rng) for _ in range(20_000)]
+    draw_gate(draws, np.linalg.matrix_power(g.transition_matrix(), gamma)[start])
 
 
 def _coordinate_sum(v, sides):
@@ -284,19 +277,15 @@ def test_uniform_below_rejects_then_multiplies_and_shifts():
         assert uniform_below(_Scripted([word]), n) == word * n >> 64
 
 
+@pytest.mark.lawgate
 @pytest.mark.parametrize("table", [slot_table(3), slot_table(2, vertical_loops=1)], ids=["fair-d3", "control"])
 def test_walk_slots_follow_the_table_law(table):
-    from scipy.special import chdtrc
-
     slots = walk_slots(np.random.default_rng(47), table)
     drawn = []
     while len(drawn) < 100_000:
         drawn += next(slots)
-    observed = np.bincount(drawn[:100_000])
-    expected = np.bincount(table) / len(table) * 100_000
     assert 256 % len(table)  # some bytes are rejected
-    chi2 = ((observed - expected) ** 2 / expected).sum()
-    assert chdtrc(expected.size - 1, chi2) > 0.01, chi2
+    draw_gate(drawn[:100_000], np.bincount(table) / len(table), p_min=0.01)
 
 
 def test_refuses_a_bit_generator_with_32_bit_words():
@@ -506,19 +495,12 @@ def test_box_table_is_built_lazily():
 
 
 def test_clusters_share_one_box_table_and_copies_hold_none(monkeypatch):
-    jumps = Counter()
-
-    def counted(cluster, *args):
-        jumps[id(cluster)] += 1
-        return box_jumps(cluster, *args)
-
-    box_jumps = dla._box_jumps
-    monkeypatch.setattr(dla, "_box_jumps", counted)
+    jumps = count_calls(monkeypatch, dla, "_box_jumps", key=lambda cluster, *args: cluster)
     g = make_cycle(64)
     clusters = [dla.new_cluster(g) for _ in range(2)]
     for k, cluster in enumerate(clusters):
         dla.grow(cluster, np.random.default_rng(k), target_layer=30)
-        assert cluster.boxes and jumps[id(cluster)] > 0
+        assert cluster.boxes and jumps[cluster] > 0
     info = box_table.cache_info()
     assert info.currsize == 1 and info.misses == 1
     memo = {}

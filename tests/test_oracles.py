@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cyldla.cylinder import sample_return_shape
 from cyldla.dla import Cluster, _return_to_front, drop_particle, grow, is_boundary, new_cluster
 from cyldla.graphs import add_self_loops, make_complete, make_cycle, parse_graph_spec
 from cyldla.oracles import excursion_kernel, first_hit_distribution
+from lawgate import draw_gate
 
 
 def _law(graph, loops):
@@ -172,24 +174,34 @@ def test_excursion_kernel_is_the_strip_first_return_law(spec, loops):
 RETURN_BASES = ("cycle:16", "random:12:3:seed=2", "random:6:3:seed=0", "complete:5")
 
 
+def _landings(spec, height, back=_return_to_front):
+    """10,000 landings of ``back`` from vertex 0, ``height`` layers above an
+    empty front, and row 0 of K^height."""
+    cluster = new_cluster(parse_graph_spec(spec))
+    rng = _stream(28, RETURN_BASES.index(spec) * 16 + height)
+    landed = [back(cluster, 0, height, rng)[0] for _ in range(10_000)]
+    kernel = excursion_kernel(cluster.graph, cluster.vertical_prob)
+    return landed, np.linalg.matrix_power(kernel, height)[0]
+
+
+def _skip_the_kernel(cluster, g, height, rng):
+    """A faulty return that lands where the walk left, as if no same-layer move were taken."""
+    v, gamma = sample_return_shape(rng, height, cluster.vertical_prob)
+    return g, v + gamma
+
+
+@pytest.mark.lawgate
 @pytest.mark.parametrize("height", (1, 4, 10))
 @pytest.mark.parametrize("spec", RETURN_BASES)
 def test_return_lands_by_the_kernel_power(spec, height):
     """A walk ``height`` layers above an empty front first reaches it from
-    vertex 0 at a vertex with law row 0 of K^height, K the excursion kernel."""
-    from scipy.special import chdtrc
-
-    cluster = new_cluster(parse_graph_spec(spec))
-    rng = _stream(28, RETURN_BASES.index(spec) * 16 + height)
-    draws = 10_000
-    landed = np.bincount(
-        [_return_to_front(cluster, 0, height, rng)[0] for _ in range(draws)], minlength=cluster.graph.n
-    )
-    kernel = excursion_kernel(cluster.graph, cluster.vertical_prob)
-    expected = draws * np.linalg.matrix_power(kernel, height)[0]
-    assert expected.min() >= 5  # every cell large enough for the chi-square law
-    chi2 = ((landed - expected) ** 2 / expected).sum()
-    assert chdtrc(cluster.graph.n - 1, chi2) > 1e-4, chi2
+    vertex 0 at a vertex with law row 0 of K^height, K the excursion kernel.
+    At height 4 the gate also rejects a return that skips the kernel, a
+    fault that the drop-level gates on frozen states do not catch."""
+    draw_gate(*_landings(spec, height), p_min=1e-4)
+    if height == 4:
+        with pytest.raises(AssertionError):
+            draw_gate(*_landings(spec, height, _skip_the_kernel), p_min=1e-4)
 
 
 def test_first_hit_at_workload_scale():

@@ -189,9 +189,19 @@ def test_snapshot_is_drawn_as_given_with_the_last_stick_on_top(fmt, digest):
         (1, ((1, 0), (2, 0)), "snapshot header has t=1 but lists 2 sticks"),
         (1, ((1, 5),), "snapshot has a stick outside n=5 x layers >= 0"),
         (1, ((-1, 0),), "snapshot has a stick outside n=5 x layers >= 0"),
+        *((1, ((layer, 0),), "snapshot has a stick above layer t=1") for layer in (2, 2**63 - 1, 10**20)),
     ],
 )
 def test_render_refuses_a_snapshot_it_cannot_draw(style, t, sticks, message):
     snap = dla.SnapshotData("cycle:5", 5, 2, t, 2, sticks)
     with pytest.raises(ValueError, match=f"^{message}$"):
         render_snapshot(snap, style=style)
+
+
+@pytest.mark.parametrize("layer", [2, 2**63 - 1, 10**20])
+def test_render_refuses_a_loaded_stick_above_layer_t(tmp_path, layer):
+    # stick k lies at most at layer k, and no grid is sized by a higher one
+    path = tmp_path / "high.snap"
+    path.write_text(f"cyldla v2 graph=cycle:8 n=8 d=2 t=1 M=2\n{layer} 0\n")
+    with pytest.raises(ValueError, match="^snapshot has a stick above layer t=1$"):
+        render_snapshot(dla.load_snapshot(path))

@@ -24,6 +24,7 @@ from cyldla.spectral import (
     lazy_transition_matrix,
     mixing_time,
 )
+from lawgate import count_calls
 
 
 def test_complete_graph_spectrum():
@@ -101,25 +102,9 @@ def test_walk_spectrum_is_cached_and_read_only():
         u[0, 0] = 0.0
 
 
-def _count_eigen_calls(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counted(name):
-        real = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
-    return calls
-
-
 def test_one_decomposition_per_graph(monkeypatch):
-    calls = _count_eigen_calls(monkeypatch)
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
     config = experiment.ExperimentConfig(
         graph_spec="random:40:3:seed=1",
         target_layers=(4,),
@@ -132,23 +117,24 @@ def test_one_decomposition_per_graph(monkeypatch):
     # a non-bipartite base: each sampler reads lambda and no eigenvectors
     assert all(c._kernel.uniform_cut == 533 for c in result.clusters)
     assert not any(hasattr(c._kernel, "_u") for c in result.clusters)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert eigh.total() == 1 and not eigvalsh
     assert eigen_profile(g).eigenvalues == tuple(float(x) for x in g.walk_spectrum[0][::-1])
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert eigh.total() == 1 and not eigvalsh
 
 
 def test_no_dense_eigendecomposition_on_lattice_bases(monkeypatch, capsys):
-    calls = _count_eigen_calls(monkeypatch)
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
     g = parse_graph_spec("torus:20x20x20")
     cluster = dla.new_cluster(g)
     dla.grow(cluster, np.random.default_rng(4), particles=100)
     assert cluster.t == 100 and cluster.M >= 3  # drops above layer 1 walk and fast-forward
-    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert not eigh and not eigvalsh
     assert "walk_spectrum" not in g.__dict__
     assert cli.main(["spectra", "torus:20x20x20"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "8000,6,1.0,0.0,"
     assert cli.main(["density", "cycle:12", "--layers", "3", "--phi", "1", "--replicas", "2"]) == 0
-    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert not eigh and not eigvalsh
 
 
 BIPARTITE_SPECS = (
