@@ -138,10 +138,17 @@ def cmd_excursions(args) -> int:
     return EXIT_OK
 
 
+def _layers(args) -> int:
+    """``--layers``, refused before any drop where no sequence could hold that many layers."""
+    if args.layers > sys.maxsize:
+        raise ValueError(f"--layers must be at most {sys.maxsize}, got {args.layers}")
+    return args.layers
+
+
 def _sweep_config(args, phi=None, probes=0) -> ExperimentConfig:
     return ExperimentConfig(
         graph_spec=args.spec,
-        target_layers=tuple(range(1, args.layers + 1)),
+        target_layers=tuple(range(1, _layers(args) + 1)),
         replicas=args.replicas,
         base_seed=args.seed,
         step_cap=args.cap,
@@ -225,7 +232,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fit_gamma(args) -> int:
-    family = fit_growth_exponent(args.specs, args.layers, args.replicas, args.seed, cap=args.cap)
+    family = fit_growth_exponent(args.specs, _layers(args), args.replicas, args.seed, cap=args.cap)
     for spec, base in zip(args.specs, family.bases):
         top = base.per_layer[-1]
         print(

@@ -150,9 +150,7 @@ class GTransitionSampler:
                 (math.log(_UNIFORM_TV_CUT) - math.log(0.5 * math.sqrt(g.n))) / math.log(lam)
             )
         else:
-            w, self._u = g.walk_spectrum
-            # +-1 taken exactly: a rounded 1 - 1e-16 would decay at huge gamma and empty the row
-            self._w = np.where(np.abs(w) >= 1.0 - spectral.EIG_TOL, np.sign(w), w)
+            self._w, self._u = g.walk_spectrum  # +-1 exact, so no row decays at huge gamma
 
     def sample(self, g_start: int, gamma: int, rng: np.random.Generator) -> int:
         if gamma <= 0:
@@ -496,8 +494,8 @@ def long_excursion_frequency(
     as not alpha-long, which only makes the lower-bound check more
     conservative.
     """
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
+    if not (math.isfinite(alpha) and alpha >= 2):
+        raise ValueError(f"alpha must be a finite number >= 2, got {alpha}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cap < 1:

@@ -43,6 +43,7 @@ import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -611,6 +612,13 @@ class SnapshotData:
     M: int
     sticks: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Read-only int64 (layer, vertex) columns, clipped to -1..t+1 and -1..n, so none overflows."""
+        cast = np.clip(np.array(self.sticks).reshape(-1, 2), -1, (len(self.sticks) + 1, self.n)).astype(np.int64)
+        cast.flags.writeable = False
+        return cast.T
+
 
 def snapshot_lines(cluster: Cluster) -> list[str]:
     g = cluster.graph
@@ -688,8 +696,7 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
     n, t = graph.n, len(snap.sticks)
     nbrs = np.array(graph.neighbors, dtype=np.int64).reshape(n, graph.d)
     order = np.arange(1, t + 1)
-    # clipped, so the checks below see any out-of-range stick as out of range
-    layer, vertex = np.clip(np.array(snap.sticks).reshape(-1, 2), (0, -1), (t + 1, n)).astype(np.int64).T
+    layer, vertex = snap.columns
     placed = (layer >= 1) & (layer <= order) & (vertex >= 0) & (vertex < n)
     h, g, k = layer[placed], vertex[placed], order[placed]
     top = int(h.max(initial=0))

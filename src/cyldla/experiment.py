@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,15 +69,9 @@ class ExperimentConfig:
         return math.ceil(math.sqrt(max(self.target_layers))) + 10
 
     def resolved(self) -> dict:
-        return {
-            "graph_spec": self.graph_spec,
-            "target_layers": list(self.target_layers),
-            "replicas": self.replicas,
-            "base_seed": self.base_seed,
-            "step_cap": self.step_cap,
-            "density_overshoot": self.overshoot(),
-            "probe_trials": self.probe_trials,
-        }
+        """The hashed record: every field but where outputs go, with the overshoot resolved."""
+        record = {k: v for k, v in asdict(self).items() if k != "output_dir"}
+        return record | {"density_overshoot": self.overshoot()}
 
     def config_hash(self) -> str:
         payload = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_PAIRING_ATTEMPTS = 10_000
+EIG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,17 @@ class RegularGraph:
     def walk_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors of A/d.
 
-        The one decomposition of the base walk: the spectral profile, the
-        excursion sampler and the first-hit oracle's excursion kernel read
-        it.  The arrays are shared, so they are returned read-only.
+        The one decomposition of the base walk (spectral profile, excursion
+        sampler, oracle kernel), shared, so read-only.  The top eigenvalue is
+        exactly 1 (an ``eigh`` top more than ``EIG_TOL`` away raises), and the
+        bottom one exactly -1 when :func:`bipartite` holds.
         """
         w, u = np.linalg.eigh(self.transition_matrix())
+        if abs(w[-1] - 1.0) > EIG_TOL:
+            raise RuntimeError(f"top eigenvalue {w[-1]} of {self.label} differs from 1 beyond tolerance")
+        w[-1] = 1.0
+        if bipartite(self):
+            w[0] = -1.0
         w.flags.writeable = False
         u.flags.writeable = False
         return w, u

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import spectral
 from .dla import Cluster
 from .graphs import RegularGraph
 
@@ -28,13 +27,11 @@ def excursion_kernel(g: RegularGraph, q: float) -> np.ndarray:
     geometric number of base moves, h(P) = q (I - (1-q) P)^-1, and the
     vertical moves of the return have the first-passage generating function
     F(x) = (1 - sqrt(1 - x^2))/x, so K = U diag(F(h(w))) U^T.  With w = 1
-    taken exactly and b = q/h(w) = q + (1-q)(1-w), F(h(w)) =
+    exact (``walk_spectrum``) and b = q/h(w) = q + (1-q)(1-w), F(h(w)) =
     q / (b + sqrt((1-q)(1-w)(b+q))) has no cancellation at its singularity.
     """
     w, u = g.walk_spectrum
-    if abs(w[-1] - 1.0) > spectral.EIG_TOL:
-        raise RuntimeError(f"top eigenvalue {w[-1]} of {g.label} differs from 1 beyond tolerance")
-    gap = np.append(1.0 - w[:-1], 0.0)
+    gap = 1.0 - w
     b = q + (1.0 - q) * gap
     k = (u * (q / (b + np.sqrt((1.0 - q) * gap * (b + q))))) @ u.T
     if not (np.all(k >= -KERNEL_TOL) and np.all(np.abs(k.sum(axis=1) - 1.0) <= KERNEL_TOL)):

@@ -21,6 +21,7 @@ BASE_COLOR = (110, 110, 118)
 RAMP_FROM = (40, 90, 220)
 RAMP_TO = (240, 220, 60)
 BAR_COLOR = (70, 140, 210)
+BAR_CELLS = 64  # width of a load bar chart, in cells of ``scale`` pixels
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,15 @@ def render_snapshot(
         raise ValueError(f"style must be 'auto', 'pixels', or 'bars', got {style!r}")
     if snap.t != len(snap.sticks):
         raise ValueError(f"snapshot header has t={snap.t} but lists {len(snap.sticks)} sticks")
-    # clipped, so a stick too far out for int64 is still seen as out of range
-    layer, vertex = np.clip(np.array(snap.sticks).reshape(-1, 2), -1, (snap.t + 1, snap.n)).astype(np.int64).T
+    layer, vertex = snap.columns
     if layer.size and (layer.min() < 0 or vertex.min() < 0 or vertex.max() >= snap.n):
         raise ValueError(f"snapshot has a stick outside n={snap.n} x layers >= 0")
     if layer.size and layer.max() > snap.t:
         raise ValueError(f"snapshot has a stick above layer t={snap.t}")
     layers = int(layer.max(initial=0)) + 1  # the full floor layer 0 up to the highest stick
+    cells = layers * (snap.n if style == "pixels" else BAR_CELLS)
+    if 3 * cells * scale * scale > np.iinfo(np.intp).max:
+        raise ValueError(f"scale {scale} makes an image of {cells} cells too large for one array")
     if style == "pixels":
         data, width, height = _render_pixels(snap, layer, vertex, layers, fmt, scale)
     else:
@@ -132,7 +135,7 @@ def _render_pixels(snap: SnapshotData, layer, vertex, layers: int, fmt: str, sca
 def _render_bars(n: int, layer, layers: int, fmt: str, scale: int):
     loads = np.bincount(layer, minlength=layers)
     loads[0] += n
-    bar_width = 64 * scale
+    bar_width = BAR_CELLS * scale
     width, height = bar_width, layers * scale
     fills = np.rint(bar_width * loads / n).astype(np.int64)
     colors = np.array([BASE_COLOR] + [BAR_COLOR] * (layers - 1), dtype=np.uint8)

@@ -8,6 +8,7 @@ from the suite seed, so the whole report is reproducible byte for byte.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,12 +305,9 @@ def _check_first_hit_oracle(seed: int) -> tuple[bool, str]:
     cluster = dla.new_cluster(make_complete(3))
     dla.drop_particle(cluster, replica_rng(seed, 53))
     oracle = first_hit_distribution(cluster)
-    rng = replica_rng(seed, 54)
     trials = 20_000
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(trials):
-        out = dla.probe_particle(cluster, rng)
-        counts[(out.stick_g, out.H)] = counts.get((out.stick_g, out.H), 0) + 1
+    outcomes = estimate_new_layer_probability(cluster, trials, replica_rng(seed, 54)).outcomes
+    counts = Counter((out.stick_g, out.H) for out in outcomes)
     tv = total_variation({k: v / trials for k, v in counts.items()}, oracle)
     return tv <= 0.02, f"TV={tv:.4f} at {trials} probes"
 

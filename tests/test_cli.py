@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyldla import cli, dla
@@ -425,6 +426,45 @@ def test_negative_step_cap_exits_two_before_any_drop(monkeypatch, capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.splitlines()[-1] == f"error: step cap must be >= 0, got {argv[-1]}"
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "cycle:6", "--layers", HUGE, "--replicas", "2"],
+        ["density", "cycle:6", "--layers", HUGE, "--replicas", "2"],
+        ["fit-gamma", "cycle:6", "cycle:8", "cycle:10", "--layers", HUGE, "--replicas", "2"],
+    ],
+    ids=["simulate", "density", "fit-gamma"],
+)
+def test_layers_beyond_a_sequence_exit_two_before_any_drop(monkeypatch, capsys, argv):
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran for an unrepresentable --layers")
+
+    monkeypatch.setattr(dla, "drop_particle", no_drop)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: --layers must be at most {2**63 - 1}, got {HUGE}"
+
+
+def test_render_scale_beyond_one_array_exits_two(tmp_path, capsys):
+    c = dla.new_cluster(make_cycle(6))
+    dla.grow(c, np.random.default_rng(0), particles=30)
+    dla.save_snapshot(c, tmp_path / "c.snap")
+    out_path = tmp_path / "c.ppm"
+    code, out, err = run_cli(capsys, "render", str(tmp_path / "c.snap"), "--out", str(out_path), "--scale", HUGE)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.splitlines()[-1].startswith(f"error: scale {HUGE} makes an image of ")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_excursions_refuse_a_non_finite_alpha(capsys, alpha):
+    code, out, err = run_cli(capsys, "excursions", "cycle:6", "--alpha", alpha, "--trials", "10")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: alpha must be a finite number >= 2, got {alpha}"
 
 
 def test_unbuildable_random_spec_exits_two(capsys):

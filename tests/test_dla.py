@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyldla import dla
 from cyldla.cylinder import (
@@ -287,6 +289,30 @@ def test_sticking_map_matches_definition_on_every_constructor(tmp_path):
     replayed = cluster_from_snapshot(load_snapshot(tmp_path / "wide.snap"), wide)
     assert replayed.near == c.near and any(dla.BOX in row for row in c.near)
     _assert_near_matches_definition(replayed)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_box_marks_match_a_window_scan(data):
+    """``_box_marks`` against a scan of each L-infinity window, round the cycle.
+
+    Boxes fit on cycles of at least 2R + 2 vertices; the windows of the
+    first and last R columns wrap round, and sparse occupancy leaves both
+    free and blocked windows there.
+    """
+    r = BOX_RADIUS
+    n = data.draw(st.integers(2 * r + 2, 3 * r + 10), label="n")
+    layers = data.draw(st.integers(1, 4), label="layers")
+    cells = data.draw(st.sets(st.tuples(st.integers(0, layers - 1), st.integers(0, n - 1)), max_size=5))
+    taken = np.zeros((layers, n), dtype=bool)
+    for z, g in cells:
+        taken[z, g] = True
+    scan = [
+        [0 if any(taken[z, (g + k) % n] for k in range(-r, r + 1)) else dla.BOX for g in range(n)]
+        for z in range(layers)
+    ]
+    assert dla._box_marks(taken).tolist() == scan
+    assert dla._box_marks(taken[0]).tolist() == scan[0]  # one row alone takes the same window
 
 
 def test_boxes_fit_only_on_wide_cycles_with_the_fair_walk():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +85,8 @@ def test_hypercube():
 )
 def test_bipartite_is_a_smallest_eigenvalue_of_minus_one(spec):
     g = parse_graph_spec(spec)
-    assert bipartite(g) == (g.walk_spectrum[0][0] <= -1.0 + 1e-9)
+    # a raw eigh, since walk_spectrum takes its -1 from the colouring itself
+    assert bipartite(g) == (np.linalg.eigvalsh(g.transition_matrix())[0] <= -1.0 + 1e-9)
     assert not bipartite(add_self_loops(g))  # a loop slot is an odd cycle
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,10 @@ import pytest
 
 from cyldla import cli, dla, experiment
 from cyldla.graphs import (
+    EIG_TOL,
+    RegularGraph,
     add_self_loops,
+    bipartite,
     make_complete,
     make_cycle,
     make_hypercube,
@@ -149,7 +153,34 @@ def test_bipartite_bases_report_exact_unit_lambda(spec):
     g = parse_graph_spec(spec)
     prof = eigen_profile(g)
     assert prof.lam == 1.0 and prof.gap == 0.0
-    assert g.walk_spectrum[0][0] <= -1.0 + 1e-9
+    # a raw eigh, since walk_spectrum takes its -1 from the colouring itself
+    assert np.linalg.eigvalsh(g.transition_matrix())[0] <= -1.0 + 1e-9
+
+
+# bases off the lattice route, whose spectrum only walk_spectrum gives
+GENERIC_SPECS = ["random:6:3:seed=0", "random:40:3:seed=2", "random:500:3:seed=1", "random:10:3:seed=1", "complete:5"]
+
+
+@pytest.mark.parametrize("spec", BIPARTITE_SPECS + GENERIC_SPECS + ["complete:4+loops", "cycle:6-untagged"])
+def test_walk_spectrum_takes_plus_and_minus_one_exactly(spec):
+    if spec == "complete:4+loops":
+        g = add_self_loops(make_complete(4))
+    elif spec == "cycle:6-untagged":  # its eigh gives 1 - 1.1e-16 and -1 + 2.2e-16
+        g = dataclasses.replace(make_cycle(6), label=spec, lattice=None)
+    else:
+        g = parse_graph_spec(spec)
+    w = g.walk_spectrum[0]
+    assert w[-1] == 1.0
+    assert (w[0] == -1.0) == bipartite(g)
+
+
+def test_walk_spectrum_refuses_a_top_eigenvalue_away_from_one():
+    # rows that are not a symmetric walk: eigh reads the lower triangle,
+    # whose symmetric matrix has top eigenvalue sqrt(2)
+    g = RegularGraph(3, 2, ((1, 2), (0, 0), (0, 0)), "lopsided")
+    assert abs(np.linalg.eigh(g.transition_matrix())[0][-1] - 1.0) > EIG_TOL
+    with pytest.raises(RuntimeError, match="top eigenvalue 1.414.* of lopsided differs from 1"):
+        g.walk_spectrum
 
 
 def _exact_lazy_mixing(g, cap):
