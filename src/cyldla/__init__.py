@@ -15,7 +15,7 @@ from .spectral import SpectralProfile, eigen_profile, mixing_time
 from .dla import Cluster, drop_particle, grow, new_cluster, probe_particle
 from .experiment import ExperimentConfig, estimate_T, estimate_density, run_sweep
 
-__version__ = "0.8.7"
+__version__ = "0.8.8"
 
 __all__ = [
     "Cluster",

@@ -2,9 +2,10 @@
 
 Every run echoes its fully resolved configuration to stderr as a single
 ``# config: {...}`` line.  Exit codes: 0 success, 1 verification failure,
-2 configuration error, 3 sampling abort (step cap or sampler range).  The
-environment variable ``CYLDLA_SEED`` supplies the default seed.  All numeric
-output uses '.' as the decimal separator regardless of locale.
+2 configuration error (a run too large for memory included), 3 sampling
+abort (step cap or sampler range).  The environment variable
+``CYLDLA_SEED`` supplies the default seed.  All numeric output uses '.' as
+the decimal separator regardless of locale.
 """
 from __future__ import annotations
 
@@ -168,12 +169,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     if args.probes:
         raise ValueError("--probes needs --out")
-    # T_m reads only the stream prefix up to layer m, so no overshoot is grown
-    # and its warning does not apply; config_hash still carries it, so these
-    # bytes equal the growth.csv that --out writes
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=r"overshoot \d+ exceeds half")
-        config = _sweep_config(args, phi=args.phi, probes=args.probes)
+    config = _sweep_config(args, phi=args.phi, probes=args.probes)
     graph = parse_graph_spec(args.spec)
     clusters = run_replicas(graph, args.layers, args.replicas, args.seed, args.cap)
     rows = growth_csv_rows(clusters, config.target_layers)
@@ -347,6 +343,10 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's failed allocations subclass it
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: the run does not fit in memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -35,7 +35,8 @@ sticking distribution.
 A snapshot file names its base graph by label and lists the sticks in
 order.  :func:`load_snapshot` only parses it; :func:`cluster_from_snapshot`
 rebuilds the cluster on the named graph in whole-array passes over a grid
-of arrival times, the one check of the sticking rule a snapshot meets.
+of arrival times and one of neighbour arrivals, the one check of the
+sticking rule a snapshot meets.
 """
 from __future__ import annotations
 
@@ -469,42 +470,6 @@ def synthetic_cluster(graph: RegularGraph, layer: int, count: int) -> Cluster:
 
 
 @dataclass(frozen=True)
-class StickAboveResult:
-    summary: EstimateSummary
-    bound_check: BoundCheck
-    layer: int
-    count: int
-
-
-def stick_above_frequency(
-    graph: RegularGraph, layer: int, count: int, trials: int, seed
-) -> StickAboveResult:
-    """Frequency of probes sticking above a layer holding ``count`` vertices.
-
-    A synthetic cluster with load ``count`` on layers 1..layer is probed by
-    independent particles; the frequency of sticking at layer+1 or higher is
-    checked against the lower bound count / n.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    cluster = synthetic_cluster(graph, layer, count)
-    hits = 0
-    for _ in range(trials):
-        out = probe_particle(cluster, rng)
-        if out.H >= layer + 1:
-            hits += 1
-    summary = EstimateSummary.from_bernoulli(hits, trials)
-    check = make_bound_check(
-        f"stick-above-layer-{layer}-load-{count}",
-        count / graph.n,
-        ">=",
-        summary,
-    )
-    return StickAboveResult(summary, check, layer, count)
-
-
-@dataclass(frozen=True)
 class VisitSetResult:
     mean_summary: EstimateSummary
     bound_check: BoundCheck
@@ -680,12 +645,15 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
 
     The sticks are checked and the cluster built in whole-array passes over
     ``arrive[z][g]``, the number of the first stick at (g, z): 0 on the
-    floor layer and t + 1 where none lands.  Stick k at (g, h) is on the
-    boundary of the cluster before it exactly when ``arrive[h][g]`` is k and
-    some neighbour, (g, h +- 1) or (u, h) for a base neighbour u, arrived
-    before k.  That holds up to the first stick that fails, since every
-    stick before it was placed.  A stick above layer k can never land and
-    is not placed, so no layer of the grid lies above t.
+    floor layer and t + 1 where none lands, and ``touch[z][g]``, the first
+    arrival at a neighbour of (g, z): (g, z +- 1) or (u, z) for a base
+    neighbour u.  Stick k at (g, h) is on the boundary of the cluster before
+    it exactly when ``arrive[h][g]`` is k and ``touch[h][g]`` is below k.
+    That holds up to the first stick that fails, since every stick before
+    it was placed.  After the last stick the same grids give the sticking
+    map: a vertex is marked when it or a neighbour has arrived.  A stick
+    above layer k can never land and is not placed, so no layer of the grid
+    lies above t.
     """
     if (graph.label, graph.n, graph.d) != (snap.graph, snap.n, snap.d):
         raise ValueError(
@@ -704,10 +672,13 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
     arrive[0] = 0
     cells, first = np.unique(h * n + g, return_index=True)
     arrive.flat[cells] = k[first]
-    touched = np.minimum(arrive[h - 1, g], arrive[h + 1, g])
-    touched = np.minimum(touched, arrive[h[:, None], nbrs[g]].min(axis=1, initial=t + 1))
+    touch = np.full_like(arrive, t + 1)
+    touch[1:] = arrive[:-1]
+    np.minimum(touch[:-1], arrive[1:], out=touch[:-1])
+    for column in nbrs.T:  # one neighbour slot at a time, so no layers x n x d grid is built
+        np.minimum(touch, arrive[:, column], out=touch)
     landed = np.zeros(t, dtype=bool)
-    landed[placed] = (arrive[h, g] == k) & (touched < k)
+    landed[placed] = (arrive[h, g] == k) & (touch[h, g] < k)
     if not landed.all():
         bad = int(np.argmin(landed))
         layer, vertex = snap.sticks[bad]
@@ -721,11 +692,7 @@ def cluster_from_snapshot(snap: SnapshotData, graph: RegularGraph) -> Cluster:
             f"its sticks give t={t} M={top + 1}"
         )
     occ = (arrive <= t).view(np.uint8)
-    near = occ.copy()
-    near[1:] |= occ[:-1]
-    near[:-1] |= occ[1:]
-    for column in nbrs.T:
-        near |= occ[:, column]
+    near = occ | (touch <= t)
     if cluster.boxes:
         # where a box fits, no vertex within R is occupied, so near is 0 there
         r, z = BOX_RADIUS, np.arange(top + 3)
@@ -755,7 +722,6 @@ __all__ = [
     "LoopEquivalenceReport",
     "ParticleOutcome",
     "SnapshotData",
-    "StickAboveResult",
     "VisitSetResult",
     "cluster_from_snapshot",
     "collect_height_tuples",
@@ -773,7 +739,6 @@ __all__ = [
     "probe_particle",
     "save_snapshot",
     "snapshot_lines",
-    "stick_above_frequency",
     "synthetic_cluster",
     "wall_blocking_violations",
 ]

@@ -33,14 +33,21 @@ def replica_rng(base_seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Description of one ``simulate`` or ``density`` sweep."""
+    """Description of one ``simulate`` or ``density`` sweep.
+
+    ``density_overshoot`` is the number of layers grown past the largest
+    target before densities are read.  Passed as None, it is resolved at
+    construction to ceil(sqrt(max m)) + 10, so the field always holds the
+    overshoot that is grown and hashed.  Only :func:`estimate_density` grows
+    it, and it warns when the overshoot exceeds half the largest target.
+    """
 
     graph_spec: str
     target_layers: tuple[int, ...]
     replicas: int = 30
     base_seed: int = 0
     step_cap: int = dla.DEFAULT_STEP_CAP
-    density_overshoot: int | None = None  # None: ceil(sqrt(max m)) + 10
+    density_overshoot: int | None = None
     probe_trials: int = 0
     output_dir: str | None = None
 
@@ -53,25 +60,14 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if self.probe_trials < 0:
             raise ValueError("probe trials must be >= 0")
-        phi = self.overshoot()
-        if phi < 1:
+        if self.density_overshoot is None:
+            object.__setattr__(self, "density_overshoot", math.ceil(math.sqrt(max(self.target_layers))) + 10)
+        if self.density_overshoot < 1:
             raise ValueError("density overshoot must be >= 1")
-        if phi / max(self.target_layers) > 0.5:
-            warnings.warn(
-                f"overshoot {phi} exceeds half the largest target layer; "
-                "density reads will be dominated by the growth frontier",
-                stacklevel=2,
-            )
-
-    def overshoot(self) -> int:
-        if self.density_overshoot is not None:
-            return self.density_overshoot
-        return math.ceil(math.sqrt(max(self.target_layers))) + 10
 
     def resolved(self) -> dict:
-        """The hashed record: every field but where outputs go, with the overshoot resolved."""
-        record = {k: v for k, v in asdict(self).items() if k != "output_dir"}
-        return record | {"density_overshoot": self.overshoot()}
+        """The hashed record: every field but where outputs go."""
+        return {k: v for k, v in asdict(self).items() if k != "output_dir"}
 
     def config_hash(self) -> str:
         payload = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
@@ -211,7 +207,14 @@ def estimate_density(config: ExperimentConfig) -> DensityResult:
     past the overshoot is reported, never inverted.
     """
     graph = parse_graph_spec(config.graph_spec)
-    m_prime = max(config.target_layers) + config.overshoot()
+    phi = config.density_overshoot
+    if phi / max(config.target_layers) > 0.5:
+        warnings.warn(
+            f"overshoot {phi} exceeds half the largest target layer; "
+            "density reads will be dominated by the growth frontier",
+            stacklevel=2,
+        )
+    m_prime = max(config.target_layers) + phi
     clusters = run_replicas(graph, m_prime, config.replicas, config.base_seed, config.step_cap)
     gap = eigen_profile(graph).gap
     n = graph.n
@@ -303,6 +306,29 @@ def estimate_new_layer_probability(
             summary,
         )
     return NewLayerResult(summary, check, outcomes)
+
+
+@dataclass(frozen=True)
+class StickAboveResult:
+    summary: EstimateSummary
+    bound_check: BoundCheck
+    layer: int
+    count: int
+
+
+def stick_above_frequency(
+    graph: RegularGraph, layer: int, count: int, trials: int, seed
+) -> StickAboveResult:
+    """Frequency of probes sticking above a layer holding ``count`` vertices.
+
+    A synthetic cluster with load ``count`` on layers 1..layer is probed by
+    :func:`estimate_new_layer_probability`; the frequency of sticking at
+    layer+1 or higher is checked against the lower bound count / n.
+    """
+    probe = estimate_new_layer_probability(dla.synthetic_cluster(graph, layer, count), trials, seed)
+    summary = EstimateSummary.from_bernoulli(sum(out.H > layer for out in probe.outcomes), trials)
+    check = make_bound_check(f"stick-above-layer-{layer}-load-{count}", count / graph.n, ">=", summary)
+    return StickAboveResult(summary, check, layer, count)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dla, walk1d
 from .cylinder import long_excursion_frequency
-from .experiment import estimate_new_layer_probability, replica_rng
+from .experiment import estimate_new_layer_probability, replica_rng, stick_above_frequency
 from .graphs import (
     make_complete,
     make_cycle,
@@ -314,10 +314,10 @@ def _check_first_hit_oracle(seed: int) -> tuple[bool, str]:
 
 def _check_stick_above(seed: int) -> tuple[bool, str]:
     g = make_complete(3)
-    res = dla.stick_above_frequency(g, layer=1, count=1, trials=3000, seed=replica_rng(seed, 55))
+    res = stick_above_frequency(g, layer=1, count=1, trials=3000, seed=replica_rng(seed, 55))
     if res.bound_check.violated:
         return False, f"freq {res.summary.mean:.3f}"
-    wall = dla.stick_above_frequency(g, layer=1, count=3, trials=200, seed=replica_rng(seed, 56))
+    wall = stick_above_frequency(g, layer=1, count=3, trials=200, seed=replica_rng(seed, 56))
     if wall.summary.mean != 1.0:
         return False, "wall case not certain"
     return True, f"freq {res.summary.mean:.3f} >= 1/3 - 3se; wall case = 1"

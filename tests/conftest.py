@@ -1,3 +1,9 @@
+from hypothesis import settings
+
+# every property runs the same examples on every run: no random draw, no example database
+settings.register_profile("cyldla", derandomize=True, database=None, deadline=None)
+settings.load_profile("cyldla")
+
 ACCEPTANCE_REPORT: list[str] = []
 
 

@@ -21,6 +21,7 @@ from cyldla.experiment import (
     estimate_density,
     estimate_new_layer_probability,
     fit_growth_exponent,
+    stick_above_frequency,
 )
 from cyldla.graphs import (
     make_complete,
@@ -102,7 +103,7 @@ def test_criterion_04_stick_above_loaded_layer():
         g = make_complete(4)
         details = []
         for m in (1, 2, 3):
-            res = dla.stick_above_frequency(g, layer=2, count=m, trials=10_000, seed=40 + m)
+            res = stick_above_frequency(g, layer=2, count=m, trials=10_000, seed=40 + m)
             freq, se = res.summary.mean, res.summary.std_error
             assert freq >= m / 4 - 3 * se, f"m={m}: {freq}"
             details.append(f"m={m}: {freq:.3f}>={m / 4:.2f}-3se")
@@ -127,15 +128,15 @@ _DENSITY_CACHE = []
 def _density_runs():
     """Shared cycle:8 density runs: criterion 7 reuses criterion 6's replicas."""
     if not _DENSITY_CACHE:
+        config = ExperimentConfig(
+            graph_spec="cycle:8",
+            target_layers=(20,),
+            replicas=50,
+            base_seed=6,
+            density_overshoot=15,
+        )
         with pytest.warns(UserWarning):  # phi/m = 0.75 exceeds the smallness guideline
-            config = ExperimentConfig(
-                graph_spec="cycle:8",
-                target_layers=(20,),
-                replicas=50,
-                base_seed=6,
-                density_overshoot=15,
-            )
-        _DENSITY_CACHE.append(estimate_density(config))
+            _DENSITY_CACHE.append(estimate_density(config))
     return _DENSITY_CACHE[0]
 
 

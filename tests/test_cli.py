@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +461,47 @@ def test_render_scale_beyond_one_array_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "render", str(tmp_path / "c.snap"), "--out", str(out_path), "--scale", HUGE)
     assert code == 2 and out == "" and not out_path.exists()
     assert err.splitlines()[-1].startswith(f"error: scale {HUGE} makes an image of ")
+
+
+# the child caps its own address space at 3 GiB, so a run too large for memory fails fast
+CAPPED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+    "from cyldla.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_capped_cli(*argv):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "cycle:6", "--layers", str(10**12), "--replicas", "2"],
+        ["density", "cycle:6", "--layers", str(10**12), "--replicas", "2"],
+        ["fit-gamma", "cycle:6", "cycle:8", "cycle:10", "--layers", str(10**12), "--replicas", "2"],
+    ],
+    ids=["simulate", "density", "fit-gamma"],
+)
+def test_layers_beyond_memory_exit_two(argv):
+    code, out, err = run_capped_cli(*argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == "error: the run does not fit in memory"
+
+
+def test_render_scale_beyond_memory_exits_two_and_writes_nothing(tmp_path):
+    c = dla.new_cluster(make_cycle(6))
+    dla.grow(c, np.random.default_rng(0), particles=30)
+    dla.save_snapshot(c, tmp_path / "c6.snap")
+    out_path = tmp_path / "c6.ppm"
+    code, out, err = run_capped_cli("render", str(tmp_path / "c6.snap"), "--out", str(out_path), "--scale", "100000")
+    assert code == 2 and out == "" and "Traceback" not in err and not out_path.exists()
+    assert err.splitlines()[-1].startswith("error: the run does not fit in memory: Unable to allocate 3.11 TiB")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -1,6 +1,9 @@
 import copy
+import functools
 import math
+import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +36,10 @@ from cyldla.dla import (
     new_cluster,
     probe_particle,
     save_snapshot,
-    stick_above_frequency,
     synthetic_cluster,
     wall_blocking_violations,
 )
+from cyldla.experiment import stick_above_frequency
 from cyldla.graphs import (
     add_self_loops,
     make_complete,
@@ -291,7 +294,7 @@ def test_sticking_map_matches_definition_on_every_constructor(tmp_path):
     _assert_near_matches_definition(replayed)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_box_marks_match_a_window_scan(data):
     """``_box_marks`` against a scan of each L-infinity window, round the cycle.
@@ -385,7 +388,7 @@ def test_synthetic_cluster_matches_direct_bookkeeping(spec, layer, count):
 
 def test_stick_above_wall_case():
     g = make_complete(4)
-    res = dla.stick_above_frequency(g, layer=2, count=4, trials=300, seed=18)
+    res = stick_above_frequency(g, layer=2, count=4, trials=300, seed=18)
     assert res.summary.mean == 1.0
 
 
@@ -897,6 +900,95 @@ def test_snapshot_errors_name_the_line_in_the_file(tmp_path):
     path.write_text("cyldla v2 graph=cycle:4 n=4 d=2 t=2 M=2\n\n1 0\n\n1 4\n")
     with pytest.raises(ValueError, match="^snapshot line 5 is outside n=4 x layers >= 1: '1 4'$"):
         load_snapshot(path)
+
+
+REPLAY_BASES = {
+    "cycle:16": (lambda: make_cycle(16), 300),
+    "cycle:64": (lambda: make_cycle(64), 600),  # boxes fit
+    "random:40:3:seed=2": (lambda: parse_graph_spec("random:40:3:seed=2"), 300),
+    "torus:4x4x4": (lambda: parse_graph_spec("torus:4x4x4"), 400),
+    "complete:5": (lambda: make_complete(5), 200),
+    "cycle:6+loops": (lambda: add_self_loops(make_cycle(6)), 150),  # loop slots
+}
+
+
+@functools.cache
+def _grown_snapshot(base):
+    make, particles = REPLAY_BASES[base]
+    c = new_cluster(make())
+    grow(c, np.random.default_rng(73), particles=particles)
+    return c.graph, _as_snapshot(c)
+
+
+@st.composite
+def _mutated_snapshots(draw):
+    """A grown snapshot with one mutation: a stick moved, swapped, duplicated or dropped, or t or M changed.
+
+    After a duplicate or a drop the header's t still counts the sticks, so the replay reads on past it.
+    """
+    graph, snap = _grown_snapshot(draw(st.sampled_from(sorted(REPLAY_BASES)), label="base"))
+    sticks = list(snap.sticks)
+    index = st.integers(0, len(sticks) - 1)
+    kind = draw(st.sampled_from(["layer", "vertex", "swap", "duplicate", "drop", "t", "M"]), label="mutation")
+    if kind in ("t", "M"):
+        delta = draw(st.sampled_from([-2, -1, 1, 2]), label="delta")
+        return graph, replace(snap, **{kind: getattr(snap, kind) + delta})
+    i = draw(index, label="i")
+    layer, vertex = sticks[i]
+    if kind == "layer":
+        sticks[i] = (draw(st.integers(-1, snap.M + 2) | st.just(10**12), label="layer"), vertex)
+    elif kind == "vertex":
+        sticks[i] = (layer, draw(st.integers(0, snap.n - 1), label="vertex"))  # load_snapshot yields no other
+    elif kind == "swap":
+        j = draw(index, label="j")
+        sticks[i], sticks[j] = sticks[j], sticks[i]
+    elif kind == "duplicate":
+        sticks.insert(draw(st.integers(0, len(sticks)), label="at"), sticks[i])
+    else:
+        del sticks[i]
+    return graph, replace(snap, t=len(sticks), sticks=tuple(sticks))
+
+
+def _replay_outcome(replay, snap, graph):
+    try:
+        return _fields(replay(snap, graph))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600)
+@given(_mutated_snapshots())
+def test_replay_equals_the_incremental_build_on_mutated_snapshots(case):
+    graph, snap = case
+    assert _replay_outcome(cluster_from_snapshot, snap, graph) == _replay_outcome(_incremental_replay, snap, graph)
+
+
+_SNAPSHOT_HEADER = b"cyldla v2 graph=cycle:4 n=4 d=2 t=2 M=2\n"
+_BODY_LINE = st.text(alphabet="0123456789 -+x\t\r", max_size=8)
+_SNAPSHOT_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.text(alphabet="cgraphntdM=0123456789:- \n", max_size=60).map(lambda head: b"cyldla v2 " + head.encode("ascii")),
+    st.lists(_BODY_LINE, max_size=8).map(lambda lines: _SNAPSHOT_HEADER + "\n".join(lines).encode("ascii")),
+    st.binary(max_size=40).map(lambda tail: _SNAPSHOT_HEADER + b"1 0\n" + tail),
+)
+
+
+@settings(max_examples=1000)
+@given(_SNAPSHOT_BYTES)
+def test_load_snapshot_raises_only_value_error_naming_a_line_of_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.snap"
+    path.write_bytes(data)
+    try:
+        load_snapshot(path)
+    except ValueError as exc:
+        named = re.fullmatch(r"snapshot line (\d+) [^:]*: (.*)", str(exc))
+        assert named or not str(exc).startswith("snapshot line")
+        if named:
+            with open(path, encoding="ascii") as fh:
+                lines = fh.readlines()  # the lines as the loader reads them
+            lineno = int(named[1])
+            assert 2 <= lineno <= len(lines) and named[2] == repr(lines[lineno - 1].rstrip("\n"))
 
 
 def test_load_increment_event_identity():

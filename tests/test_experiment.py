@@ -20,17 +20,11 @@ from cyldla.experiment import (
 from cyldla.graphs import make_complete, make_cycle, parse_graph_spec
 
 
-def _quiet_config(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(**kw)
-
-
 def test_config_validation_and_hash():
-    cfg = _quiet_config(graph_spec="cycle:6", target_layers=(3, 1), replicas=2, base_seed=5)
-    assert cfg.overshoot() == math.ceil(math.sqrt(3)) + 10
+    cfg = ExperimentConfig(graph_spec="cycle:6", target_layers=(3, 1), replicas=2, base_seed=5)
+    assert cfg.density_overshoot == math.ceil(math.sqrt(3)) + 10
     assert cfg.config_hash() == cfg.config_hash()
-    other = _quiet_config(graph_spec="cycle:6", target_layers=(3, 1), replicas=2, base_seed=6)
+    other = ExperimentConfig(graph_spec="cycle:6", target_layers=(3, 1), replicas=2, base_seed=6)
     assert other.config_hash() != cfg.config_hash()
     with pytest.raises(ValueError):
         ExperimentConfig(graph_spec="cycle:6", target_layers=())
@@ -43,8 +37,11 @@ def test_config_validation_and_hash():
 
 
 def test_config_warns_on_large_overshoot():
-    with pytest.warns(UserWarning):
-        ExperimentConfig(graph_spec="cycle:6", target_layers=(4,), density_overshoot=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # building the config grows nothing, so it does not warn
+        cfg = ExperimentConfig(graph_spec="cycle:6", target_layers=(4,), replicas=2, density_overshoot=3)
+    with pytest.warns(UserWarning, match="^overshoot 3 exceeds half the largest target layer"):
+        estimate_density(cfg)
 
 
 def test_estimate_T_first_layer_exact():
@@ -69,14 +66,15 @@ def test_estimate_T_transitive_bound_and_monotonicity():
 
 
 def test_estimate_density_fields_and_bounds():
-    cfg = _quiet_config(
+    cfg = ExperimentConfig(
         graph_spec="cycle:4",
         target_layers=(8,),
         replicas=40,
         base_seed=3,
         density_overshoot=6,
     )
-    res = estimate_density(cfg)
+    with pytest.warns(UserWarning, match="^overshoot 6 exceeds half"):
+        res = estimate_density(cfg)
     est = res.per_layer[0]
     assert est.phi == 6 and res.grow_to_layer == 14
     assert 0.0 < est.summary.mean < 1.0
@@ -168,7 +166,7 @@ def test_merge_invariance_and_replica_split():
 
 def test_run_sweep_outputs_and_determinism(tmp_path):
     def make(outdir):
-        return _quiet_config(
+        return ExperimentConfig(
             graph_spec="cycle:5",
             target_layers=(2, 4),
             replicas=3,
@@ -178,8 +176,9 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
             output_dir=str(outdir),
         )
 
-    out_a = run_sweep(make(tmp_path / "a"))
-    out_b = run_sweep(make(tmp_path / "b"))
+    with pytest.warns(UserWarning, match="^overshoot 3 exceeds half"):
+        out_a = run_sweep(make(tmp_path / "a"))
+        out_b = run_sweep(make(tmp_path / "b"))
     for pa, pb in (
         (out_a.growth_csv, out_b.growth_csv),
         (out_a.density_csv, out_b.density_csv),
@@ -210,16 +209,16 @@ def test_run_sweep_removes_the_file_it_was_writing(tmp_path, monkeypatch):
         return csv_lines(*args)
 
     monkeypatch.setattr(experiment, "csv_lines", failing_lines)
-    cfg = _quiet_config(
+    cfg = ExperimentConfig(
         graph_spec="cycle:5", target_layers=(2,), replicas=1, base_seed=0, output_dir=str(tmp_path)
     )
-    with pytest.raises(RuntimeError, match="disk went away"):
+    with pytest.raises(RuntimeError, match="disk went away"), pytest.warns(UserWarning, match="^overshoot 12"):
         run_sweep(cfg)
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
 
 
 def test_run_sweep_requires_output_dir():
-    cfg = _quiet_config(graph_spec="cycle:5", target_layers=(2,), replicas=1, base_seed=0)
+    cfg = ExperimentConfig(graph_spec="cycle:5", target_layers=(2,), replicas=1, base_seed=0)
     with pytest.raises(ValueError):
         run_sweep(cfg)

@@ -205,20 +205,20 @@ def test_edge_list_round_numbers():
     assert lines.count("0 0") == 1 and len(lines) == 8
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n=st.integers(min_value=3, max_value=60))
 def test_generators_always_validate_cycle(n):
     assert validate(make_cycle(n)).passed
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(side=st.integers(min_value=3, max_value=5), dim=st.integers(min_value=1, max_value=3))
 def test_generators_always_validate_torus(side, dim):
     g = make_torus(side, dim)
     assert validate(g).passed and g.n == side**dim
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(n=st.integers(min_value=3, max_value=20))
 def test_loops_preserve_validation(n):
     g = add_self_loops(make_complete(n))
